@@ -46,7 +46,6 @@ use crate::obs::{MetricsRegistry, Snapshot};
 use crate::pool::ServeHandle;
 use crate::store::{BankStore, DiagnosisRequest, StoreConfig};
 use crate::synthetic::{synthetic_circuit_bank, synthetic_queries, synthetic_trajectory_set};
-use crate::tree_index::TreeIndex;
 
 const USAGE: &str = "\
 ftd — fault-trajectory diagnosis engine
@@ -133,7 +132,7 @@ SUBCOMMANDS:
                        server.
                        With --listen ADDR the same shard directory is
                        served over TCP instead of stdin: a non-blocking
-                       epoll event loop speaking length-prefixed,
+                       poll(2) event loop speaking length-prefixed,
                        checksummed request/response frames, with
                        per-connection pipelining (responses in request
                        order), bounded backpressure (--max-inflight
@@ -171,8 +170,8 @@ SUBCOMMANDS:
                        histogram count/sum/mean/p50/p90/p99, derived
                        qps and shard cache hit rate) — or as the
                        Prometheus text exposition with --prometheus.
-  bench-scan-vs-index  Time the linear scan against the legacy binary
-                       tree, the flat SIMD-friendly index, and the top-k
+  bench-scan-vs-index  Time the linear scan against the flat
+                       SIMD-friendly index and the top-k
                        early-termination path (K from --topk, default 5)
                        on a synthetic bank, single-query and batched,
                        with bit-identity self-checks on every path.
@@ -1346,12 +1345,9 @@ struct BenchRow {
     dim: usize,
     queries: usize,
     topk: usize,
-    tree_nodes: usize,
     flat_nodes: usize,
-    build_tree_us: f64,
     build_flat_us: f64,
     linear_query_us: f64,
-    tree_query_us: f64,
     flat_query_us: f64,
     topk_query_us: f64,
     linear_diagnose_us: f64,
@@ -1405,13 +1401,6 @@ fn bench_one(
     let qs = synthetic_queries(set, queries, seed.wrapping_add(1));
 
     let t = Instant::now();
-    let tree = if leaf == 0 {
-        TreeIndex::build(set)
-    } else {
-        TreeIndex::with_leaf_size(set, leaf)
-    };
-    let build_tree_us = t.elapsed().as_secs_f64() * 1e6;
-    let t = Instant::now();
     let flat = if leaf == 0 {
         SegmentIndex::build(set)
     } else {
@@ -1426,13 +1415,12 @@ fn bench_one(
     // the fastest round per path; results are identical every round, so
     // the last round's are validated below.
     let mut linear_query_us = f64::INFINITY;
-    let mut tree_query_us = f64::INFINITY;
     let mut flat_query_us = f64::INFINITY;
     let mut topk_query_us = f64::INFINITY;
     let mut linear_diagnose_us = f64::INFINITY;
     let mut flat_diagnose_us = f64::INFINITY;
     let mut topk_diagnose_us = f64::INFINITY;
-    let (mut lin_q, mut tree_q, mut flat_q, mut topk_q) = (vec![], vec![], vec![], vec![]);
+    let (mut lin_q, mut flat_q, mut topk_q) = (vec![], vec![], vec![]);
     let (mut lin_d, mut flat_d, mut topk_d): (Vec<Diagnosis>, Vec<_>, Vec<_>) =
         (vec![], vec![], vec![]);
     let mut examined = 0usize;
@@ -1446,11 +1434,6 @@ fn bench_one(
         });
         lin_q = r;
         linear_query_us = linear_query_us.min(t);
-        let (r, t) = time_once(qs.len(), || {
-            qs.iter().map(|q| tree.query(q)).collect::<Vec<_>>()
-        });
-        tree_q = r;
-        tree_query_us = tree_query_us.min(t);
         examined = 0;
         let (r, t) = time_once(qs.len(), || {
             qs.iter()
@@ -1501,7 +1484,7 @@ fn bench_one(
         topk_diagnose_us = topk_diagnose_us.min(t);
     }
 
-    if tree_q != lin_q || flat_q != lin_q {
+    if flat_q != lin_q {
         return Err(runtime("indexed path diverged from the linear scan"));
     }
     let examined_frac = examined as f64 / (flat.len() * qs.len()) as f64;
@@ -1537,12 +1520,9 @@ fn bench_one(
         dim: set.dim(),
         queries: qs.len(),
         topk,
-        tree_nodes: tree.node_count(),
         flat_nodes: flat.node_count(),
-        build_tree_us,
         build_flat_us,
         linear_query_us,
-        tree_query_us,
         flat_query_us,
         topk_query_us,
         linear_diagnose_us,
@@ -1555,20 +1535,14 @@ fn bench_one(
 
 fn print_bench_row(r: &BenchRow) {
     println!(
-        "bank: {} trajectories x {} segments = {} segments, dim {}, \
-         {} flat nodes ({} tree nodes)",
+        "bank: {} trajectories x {} segments = {} segments, dim {}, {} flat nodes",
         r.trajectories,
         r.segments / r.trajectories,
         r.segments,
         r.dim,
         r.flat_nodes,
-        r.tree_nodes,
     );
-    println!(
-        "  build: tree {:.1} ms, flat {:.1} ms",
-        r.build_tree_us / 1e3,
-        r.build_flat_us / 1e3,
-    );
+    println!("  build: flat {:.1} ms", r.build_flat_us / 1e3);
     println!("  {} queries, results identical on every path", r.queries);
     let x = |a: f64, b: f64| a / b.max(1e-12);
     println!(
@@ -1576,16 +1550,10 @@ fn print_bench_row(r: &BenchRow) {
         r.linear_query_us
     );
     println!(
-        "  query    legacy tree : {:>9.1} us/query  ({:.1}x vs linear)",
-        r.tree_query_us,
-        x(r.linear_query_us, r.tree_query_us),
-    );
-    println!(
-        "  query    flat index  : {:>9.1} us/query  ({:.1}x vs linear, {:.1}x vs tree, \
+        "  query    flat index  : {:>9.1} us/query  ({:.1}x vs linear, \
          examined {:.1}% of segments)",
         r.flat_query_us,
         x(r.linear_query_us, r.flat_query_us),
-        x(r.tree_query_us, r.flat_query_us),
         r.examined_frac * 100.0,
     );
     println!(
@@ -1621,12 +1589,9 @@ fn write_bench_json(path: &str, rows: &[BenchRow]) -> Result<(), CliError> {
         let x = |a: f64, b: f64| a / b.max(1e-12);
         s.push_str(&format!(
             "    {{\"segments\": {}, \"trajectories\": {}, \"dim\": {}, \"queries\": {}, \
-             \"topk\": {}, \"tree_nodes\": {}, \"flat_nodes\": {}, \
-             \"build_tree_us\": {:.1}, \"build_flat_us\": {:.1}, \
-             \"linear_query_us\": {:.3}, \"tree_query_us\": {:.3}, \
-             \"flat_query_us\": {:.3}, \"topk_query_us\": {:.3}, \
-             \"flat_speedup_vs_linear\": {:.2}, \"flat_speedup_vs_tree\": {:.2}, \
-             \"topk_speedup_vs_linear\": {:.2}, \
+             \"topk\": {}, \"flat_nodes\": {}, \"build_flat_us\": {:.1}, \
+             \"linear_query_us\": {:.3}, \"flat_query_us\": {:.3}, \"topk_query_us\": {:.3}, \
+             \"flat_speedup_vs_linear\": {:.2}, \"topk_speedup_vs_linear\": {:.2}, \
              \"linear_diagnose_us\": {:.3}, \"flat_diagnose_us\": {:.3}, \
              \"topk_diagnose_us\": {:.3}, \
              \"segments_examined_frac\": {:.4}, \"topk_early_exit_rate\": {:.4}}}{}\n",
@@ -1635,16 +1600,12 @@ fn write_bench_json(path: &str, rows: &[BenchRow]) -> Result<(), CliError> {
             r.dim,
             r.queries,
             r.topk,
-            r.tree_nodes,
             r.flat_nodes,
-            r.build_tree_us,
             r.build_flat_us,
             r.linear_query_us,
-            r.tree_query_us,
             r.flat_query_us,
             r.topk_query_us,
             x(r.linear_query_us, r.flat_query_us),
-            x(r.tree_query_us, r.flat_query_us),
             x(r.linear_query_us, r.topk_query_us),
             r.linear_diagnose_us,
             r.flat_diagnose_us,

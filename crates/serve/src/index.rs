@@ -87,8 +87,8 @@ use crate::obs::Counter;
 
 /// Default maximum number of segments per leaf node. The flat layout
 /// makes segment exams cheap (squared-domain scan, contiguous endpoint
-/// rows), so it pays to push more work into leaves than the pointer
-/// tree does: 16 measured fastest for both full and top-k queries at
+/// rows), so it pays to push more work into leaves than a pointer tree
+/// would: 16 measured fastest for both full and top-k queries at
 /// 100k segments (see `BENCH_index.json`).
 const DEFAULT_LEAF_SIZE: usize = 16;
 
@@ -1428,5 +1428,37 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    #[test]
+    fn prune_slack_keeps_the_topk_settlement_sound() {
+        // `query_topk` settles a trajectory at distance `bd < cut`, with
+        // `cut = bound - prune_slack(bound)` for the frontier bound. That
+        // is exact only if the settled trajectory's own slack-padded
+        // pruning radius stays inside the explored frontier:
+        // `bd + prune_slack(bd) <= bound` for every `0 <= bd < cut`.
+        // Since `x + prune_slack(x)` grows with `x >= 0`, checking `cut`
+        // itself covers every `bd`. A bound so small that `cut <= 0`
+        // settles nothing (distances are never negative).
+        let mut magnitudes = vec![0.0, f64::from_bits(1), f64::MIN_POSITIVE / 2.0];
+        for e in -9..=300 {
+            for m in [1.0, 2.5, 9.99] {
+                magnitudes.push(m * 10f64.powi(e));
+            }
+        }
+        let mut prev = 0.0;
+        for &d in &magnitudes {
+            let slack = prune_slack(d);
+            assert!(slack > 0.0, "prune_slack({d:e}) = {slack:e}");
+            assert!(slack >= prev, "prune_slack decreases at {d:e}");
+            assert_eq!(prune_slack(-d), slack, "prune_slack is even at {d:e}");
+            prev = slack;
+            let cut = d - prune_slack(d);
+            assert!(
+                cut <= 0.0 || cut + prune_slack(cut) <= d,
+                "settlement at bound {d:e}: cut {cut:e} + slack {:e} > bound",
+                prune_slack(cut)
+            );
+        }
     }
 }

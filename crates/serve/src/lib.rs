@@ -16,8 +16,7 @@
 //!   cache-flat SoA forest of per-trajectory 8-ary AABB trees with
 //!   SIMD-friendly batched box tests, incremental per-trajectory
 //!   rebuilds, and a top-k early-termination query path — all
-//!   **bit-identical** to the linear scan (the legacy pointer-tree
-//!   baseline survives as [`TreeIndex`]).
+//!   **bit-identical** to the linear scan, which stays as the oracle.
 //! * [`DiagnosisEngine`] — single and batched diagnosis over a shared
 //!   loaded bank, fanning batches out over `std::thread::scope` workers
 //!   in input order.
@@ -33,11 +32,12 @@
 //!   lock-free counters, gauges, and log₂-bucket latency histograms
 //!   over the engine, store, and pool, snapshotted to JSON, greppable
 //!   text, or Prometheus exposition — and provably inert when disabled.
-//! * [`NetServer`] ([`net`]) — the non-blocking TCP serving tier: a
-//!   hand-rolled epoll/poll readiness loop speaking a length-prefixed,
-//!   checksummed frame protocol, with per-connection pipelining,
-//!   bounded-memory backpressure, graceful drain, and a matching
-//!   pipelined load generator ([`run_loadgen`]).
+//! * [`NetServer`] ([`net`]) — the non-blocking TCP serving tier: one
+//!   hand-rolled `poll(2)` readiness loop on every unix speaking a
+//!   length-prefixed, checksummed frame protocol, with per-connection
+//!   pipelining, bounded-memory backpressure, graceful drain, and a
+//!   matching pipelined load generator ([`run_loadgen`]). Its answers
+//!   are byte-identical to stdin `ftd serve`, the oracle.
 //! * the `ftd` binary ([`cli`]) — `build-bank`, `diagnose`, `serve`
 //!   (stdin or `--listen`), `loadgen`, `gen-requests`, `bank-info`,
 //!   `stats`, and `bench-scan-vs-index` front ends over the same API.
@@ -94,7 +94,6 @@ pub mod obs;
 pub mod pool;
 pub mod store;
 pub mod synthetic;
-pub mod tree_index;
 
 pub use bank::{MappedBank, TrajectoryBank};
 pub use codec::{
@@ -118,4 +117,3 @@ pub use store::{
     diagnose_on, valid_cut_id, BankStore, DiagnosisRequest, RefreshSummary, StoreConfig, StoreError,
 };
 pub use synthetic::{synthetic_circuit_bank, synthetic_queries, synthetic_trajectory_set};
-pub use tree_index::TreeIndex;

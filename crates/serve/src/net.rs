@@ -1,13 +1,17 @@
 //! The network serving tier: a non-blocking TCP front over the
 //! [`ServeHandle`] pool, plus the matching load-generator client.
 //!
-//! The server is a single-threaded readiness loop — `epoll(7)` on
-//! Linux, `poll(2)` on other unixes, both hand-rolled over raw
-//! `extern "C"` syscalls the way [`crate::mmap`] wraps `mmap(2)` (the
-//! vendored environment has no libc crate) — that owns every socket and
-//! feeds decoded requests into the existing worker pool. Workers wake
-//! the loop back through a self-pipe (see [`ServeHandle::with_notifier`]),
-//! so the loop never blocks on anything but the poller.
+//! The server is a single-threaded `poll(2)` readiness loop on every
+//! unix, hand-rolled over a raw `extern "C"` syscall the way
+//! [`crate::mmap`] wraps `mmap(2)` (the vendored environment has no libc
+//! crate). It owns every socket and feeds decoded requests into the
+//! existing worker pool. Each turn rebuilds one reused poll set from the
+//! listener, the wake socket, and each connection's wanted interest, so
+//! there is no registry to keep in sync. Workers wake the loop back
+//! through a nonblocking socket pair (see [`ServeHandle::with_notifier`]),
+//! so the loop never blocks on anything but `poll(2)`. Off unix,
+//! [`NetServer::run`] reports the tier unsupported. The stdin front-end
+//! (`ftd serve` without `--listen`) is the oracle its answers match.
 //!
 //! ## Wire protocol
 //!
@@ -33,7 +37,7 @@
 //!
 //! Responses go back in request order per connection (pipelining).
 //! Each connection has a bounded in-flight budget and a write-buffer
-//! high-water mark; crossing either deregisters read interest until the
+//! high-water mark; crossing either drops read interest until the
 //! pool and the peer catch up, so a slow reader costs bounded memory,
 //! never an OOM. On shutdown (signal or [`ShutdownHandle::shutdown`])
 //! the listener closes first, in-flight requests finish, responses
@@ -47,9 +51,9 @@ use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::codec::{checksum_parts, CodecError, Decoder, Encoder};
@@ -389,402 +393,13 @@ impl std::error::Error for NetError {
 }
 
 // ---------------------------------------------------------------------
-// Raw syscalls (no libc crate in the vendored environment)
-// ---------------------------------------------------------------------
-
-#[cfg(unix)]
-mod sys {
-    use std::os::raw::{c_int, c_void};
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: c_int,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    extern "C" {
-        pub fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
-        pub fn pipe(fds: *mut c_int) -> c_int;
-        pub fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
-        pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        pub fn close(fd: c_int) -> c_int;
-        pub fn signal(signum: c_int, handler: usize) -> usize;
-    }
-
-    pub const POLLIN: i16 = 0x1;
-    pub const POLLOUT: i16 = 0x4;
-    pub const POLLERR: i16 = 0x8;
-    pub const POLLHUP: i16 = 0x10;
-    pub const POLLNVAL: i16 = 0x20;
-
-    pub const F_SETFL: c_int = 4;
-    #[cfg(target_os = "linux")]
-    pub const O_NONBLOCK: c_int = 0o4000;
-    #[cfg(not(target_os = "linux"))]
-    pub const O_NONBLOCK: c_int = 0x4;
-
-    pub const SIGINT: c_int = 2;
-    pub const SIGTERM: c_int = 15;
-
-    #[cfg(target_os = "linux")]
-    pub mod epoll {
-        use std::os::raw::c_int;
-
-        // The kernel ABI packs the struct on x86_64 only.
-        #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-        #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-        #[derive(Clone, Copy)]
-        pub struct EpollEvent {
-            pub events: u32,
-            pub data: u64,
-        }
-
-        extern "C" {
-            pub fn epoll_create1(flags: c_int) -> c_int;
-            pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-            pub fn epoll_wait(
-                epfd: c_int,
-                events: *mut EpollEvent,
-                maxevents: c_int,
-                timeout: c_int,
-            ) -> c_int;
-        }
-
-        pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-        pub const EPOLL_CTL_ADD: c_int = 1;
-        pub const EPOLL_CTL_DEL: c_int = 2;
-        pub const EPOLL_CTL_MOD: c_int = 3;
-        pub const EPOLLIN: u32 = 0x1;
-        pub const EPOLLOUT: u32 = 0x4;
-        pub const EPOLLERR: u32 = 0x8;
-        pub const EPOLLHUP: u32 = 0x10;
-        pub const EPOLLRDHUP: u32 = 0x2000;
-    }
-}
-
-// ---------------------------------------------------------------------
-// Poller: epoll on Linux, poll(2) elsewhere (both backends compile and
-// are tested on Linux so the fallback cannot rot)
-// ---------------------------------------------------------------------
-
-#[cfg(unix)]
-pub(crate) use poller::{Event, Poller};
-
-#[cfg(unix)]
-mod poller {
-    use super::sys;
-    use std::io;
-    use std::os::raw::c_int;
-    use std::os::unix::io::RawFd;
-    use std::time::Duration;
-
-    /// One readiness report from [`Poller::wait`].
-    pub(crate) struct Event {
-        pub token: u64,
-        pub readable: bool,
-        pub writable: bool,
-    }
-
-    /// Readiness poller over raw fds, keyed by caller tokens.
-    pub(crate) struct Poller {
-        backend: Backend,
-    }
-
-    enum Backend {
-        #[cfg(target_os = "linux")]
-        Epoll(EpollFd),
-        // On Linux the poll backend is only constructed by tests (it is
-        // the production backend everywhere else).
-        #[cfg_attr(target_os = "linux", allow(dead_code))]
-        Poll(Vec<Entry>),
-    }
-
-    #[cfg(target_os = "linux")]
-    struct EpollFd(RawFd);
-
-    #[cfg(target_os = "linux")]
-    impl Drop for EpollFd {
-        fn drop(&mut self) {
-            unsafe { sys::close(self.0) };
-        }
-    }
-
-    struct Entry {
-        fd: RawFd,
-        token: u64,
-        read: bool,
-        write: bool,
-    }
-
-    fn check(ret: c_int) -> io::Result<c_int> {
-        if ret < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(ret)
-        }
-    }
-
-    /// Millisecond timeout for poll/epoll: `None` blocks forever; a
-    /// sub-millisecond remainder rounds **up** so a pending timer never
-    /// busy-spins.
-    fn timeout_ms(timeout: Option<Duration>) -> c_int {
-        match timeout {
-            None => -1,
-            Some(d) => {
-                d.as_millis().min(i32::MAX as u128) as c_int
-                    + c_int::from(
-                        d.subsec_nanos() % 1_000_000 != 0 && d.as_millis() < i32::MAX as u128,
-                    )
-            }
-        }
-    }
-
-    impl Poller {
-        /// The platform's best backend: epoll on Linux, poll elsewhere.
-        pub fn new() -> io::Result<Poller> {
-            #[cfg(target_os = "linux")]
-            {
-                let epfd = check(unsafe { sys::epoll::epoll_create1(sys::epoll::EPOLL_CLOEXEC) })?;
-                Ok(Poller {
-                    backend: Backend::Epoll(EpollFd(epfd)),
-                })
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                Poller::poll_backend()
-            }
-        }
-
-        /// Forces the portable `poll(2)` backend — exercised by tests
-        /// on Linux too, so the non-Linux path stays correct.
-        #[cfg_attr(target_os = "linux", allow(dead_code))]
-        pub fn poll_backend() -> io::Result<Poller> {
-            Ok(Poller {
-                backend: Backend::Poll(Vec::new()),
-            })
-        }
-
-        pub fn add(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            match &mut self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll(ep) => {
-                    epoll_ctl(ep.0, sys::epoll::EPOLL_CTL_ADD, fd, token, read, write)
-                }
-                Backend::Poll(entries) => {
-                    entries.retain(|e| e.fd != fd);
-                    entries.push(Entry {
-                        fd,
-                        token,
-                        read,
-                        write,
-                    });
-                    Ok(())
-                }
-            }
-        }
-
-        pub fn modify(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            match &mut self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll(ep) => {
-                    epoll_ctl(ep.0, sys::epoll::EPOLL_CTL_MOD, fd, token, read, write)
-                }
-                Backend::Poll(entries) => {
-                    for e in entries.iter_mut() {
-                        if e.fd == fd {
-                            e.token = token;
-                            e.read = read;
-                            e.write = write;
-                        }
-                    }
-                    Ok(())
-                }
-            }
-        }
-
-        pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
-            match &mut self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll(ep) => {
-                    let mut ev = sys::epoll::EpollEvent { events: 0, data: 0 };
-                    check(unsafe {
-                        sys::epoll::epoll_ctl(ep.0, sys::epoll::EPOLL_CTL_DEL, fd, &mut ev)
-                    })
-                    .map(|_| ())
-                }
-                Backend::Poll(entries) => {
-                    entries.retain(|e| e.fd != fd);
-                    Ok(())
-                }
-            }
-        }
-
-        /// Waits for readiness, filling `out` (cleared first). A signal
-        /// interruption reports zero events instead of an error, so the
-        /// caller re-checks its shutdown flag.
-        pub fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<Event>) -> io::Result<()> {
-            out.clear();
-            let ms = timeout_ms(timeout);
-            match &mut self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll(ep) => {
-                    let mut events = [sys::epoll::EpollEvent { events: 0, data: 0 }; 256];
-                    let n = unsafe {
-                        sys::epoll::epoll_wait(ep.0, events.as_mut_ptr(), events.len() as c_int, ms)
-                    };
-                    if n < 0 {
-                        let err = io::Error::last_os_error();
-                        if err.kind() == io::ErrorKind::Interrupted {
-                            return Ok(());
-                        }
-                        return Err(err);
-                    }
-                    for ev in events.iter().take(n as usize) {
-                        let bits = ev.events;
-                        out.push(Event {
-                            token: ev.data,
-                            readable: bits
-                                & (sys::epoll::EPOLLIN
-                                    | sys::epoll::EPOLLERR
-                                    | sys::epoll::EPOLLHUP
-                                    | sys::epoll::EPOLLRDHUP)
-                                != 0,
-                            writable: bits & (sys::epoll::EPOLLOUT | sys::epoll::EPOLLERR) != 0,
-                        });
-                    }
-                    Ok(())
-                }
-                Backend::Poll(entries) => {
-                    let mut fds: Vec<sys::PollFd> = entries
-                        .iter()
-                        .map(|e| sys::PollFd {
-                            fd: e.fd,
-                            events: if e.read { sys::POLLIN } else { 0 }
-                                | if e.write { sys::POLLOUT } else { 0 },
-                            revents: 0,
-                        })
-                        .collect();
-                    let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as u64, ms) };
-                    if n < 0 {
-                        let err = io::Error::last_os_error();
-                        if err.kind() == io::ErrorKind::Interrupted {
-                            return Ok(());
-                        }
-                        return Err(err);
-                    }
-                    for (entry, fd) in entries.iter().zip(&fds) {
-                        let bits = fd.revents;
-                        if bits == 0 {
-                            continue;
-                        }
-                        out.push(Event {
-                            token: entry.token,
-                            readable: bits
-                                & (sys::POLLIN | sys::POLLERR | sys::POLLHUP | sys::POLLNVAL)
-                                != 0,
-                            writable: bits & (sys::POLLOUT | sys::POLLERR) != 0,
-                        });
-                    }
-                    Ok(())
-                }
-            }
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    fn epoll_ctl(
-        epfd: RawFd,
-        op: c_int,
-        fd: RawFd,
-        token: u64,
-        read: bool,
-        write: bool,
-    ) -> io::Result<()> {
-        let mut ev = sys::epoll::EpollEvent {
-            events: if read {
-                sys::epoll::EPOLLIN | sys::epoll::EPOLLRDHUP
-            } else {
-                0
-            } | if write { sys::epoll::EPOLLOUT } else { 0 },
-            data: token,
-        };
-        check(unsafe { sys::epoll::epoll_ctl(epfd, op, fd, &mut ev) }).map(|_| ())
-    }
-}
-
-/// A nonblocking self-pipe: the read end wakes the poller, the write
-/// end is poked by pool workers and signal handlers.
-#[cfg(unix)]
-struct WakePipe {
-    read_fd: i32,
-    write_fd: i32,
-}
-
-#[cfg(unix)]
-impl WakePipe {
-    fn new() -> io::Result<WakePipe> {
-        let mut fds = [0i32; 2];
-        if unsafe { sys::pipe(fds.as_mut_ptr()) } < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        for fd in fds {
-            if unsafe { sys::fcntl(fd, sys::F_SETFL, sys::O_NONBLOCK) } < 0 {
-                let err = io::Error::last_os_error();
-                unsafe {
-                    sys::close(fds[0]);
-                    sys::close(fds[1]);
-                }
-                return Err(err);
-            }
-        }
-        Ok(WakePipe {
-            read_fd: fds[0],
-            write_fd: fds[1],
-        })
-    }
-
-    /// Reads pending wake bytes off the pipe (level-triggered pollers
-    /// re-report anything left behind).
-    fn drain(&self) {
-        let mut buf = [0u8; 64];
-        loop {
-            let n = unsafe { sys::read(self.read_fd, buf.as_mut_ptr().cast(), buf.len()) };
-            if n <= 0 || (n as usize) < buf.len() {
-                break;
-            }
-        }
-    }
-}
-
-#[cfg(unix)]
-impl Drop for WakePipe {
-    fn drop(&mut self) {
-        unsafe {
-            sys::close(self.read_fd);
-            sys::close(self.write_fd);
-        }
-    }
-}
-
-#[cfg(unix)]
-fn poke(fd: i32) {
-    if fd >= 0 {
-        let byte = [1u8];
-        unsafe { sys::write(fd, byte.as_ptr().cast(), 1) };
-    }
-}
-
-// ---------------------------------------------------------------------
 // Shutdown
 // ---------------------------------------------------------------------
 
 #[derive(Debug)]
 struct ShutdownShared {
     flag: AtomicBool,
-    /// The event loop's wake-pipe write fd once `run` starts; −1
+    /// The event loop's wake-socket write fd once `run` starts; −1
     /// otherwise. Only ever poked (async-signal-safe `write(2)`).
     wake_fd: AtomicI32,
 }
@@ -813,24 +428,12 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.shared.flag.store(true, Ordering::SeqCst);
         #[cfg(unix)]
-        poke(self.shared.wake_fd.load(Ordering::SeqCst));
+        reactor::poke(self.shared.wake_fd.load(Ordering::SeqCst));
     }
 
     /// Whether a drain has been requested.
     pub fn is_shutdown(&self) -> bool {
         self.shared.flag.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(unix)]
-static SIGNAL_TARGET: std::sync::OnceLock<ShutdownHandle> = std::sync::OnceLock::new();
-
-#[cfg(unix)]
-extern "C" fn drain_on_signal(_sig: std::os::raw::c_int) {
-    // Async-signal-safe: an atomic store and a write(2), nothing else.
-    if let Some(handle) = SIGNAL_TARGET.get() {
-        handle.shared.flag.store(true, Ordering::SeqCst);
-        poke(handle.shared.wake_fd.load(Ordering::SeqCst));
     }
 }
 
@@ -840,17 +443,9 @@ extern "C" fn drain_on_signal(_sig: std::os::raw::c_int) {
 /// installation wins for the life of the process. No-op off unix.
 pub fn install_signal_drain(handle: &ShutdownHandle) {
     #[cfg(unix)]
-    {
-        let _ = SIGNAL_TARGET.set(handle.clone());
-        unsafe {
-            sys::signal(sys::SIGINT, drain_on_signal as *const () as usize);
-            sys::signal(sys::SIGTERM, drain_on_signal as *const () as usize);
-        }
-    }
+    reactor::install_signal_drain(handle);
     #[cfg(not(unix))]
-    {
-        let _ = handle;
-    }
+    let _ = handle;
 }
 
 // ---------------------------------------------------------------------
@@ -902,8 +497,8 @@ pub struct NetSummary {
     pub protocol_errors: u64,
 }
 
-/// The non-blocking TCP serving tier: one readiness loop over all
-/// connections, feeding the [`ServeHandle`] pool.
+/// The non-blocking TCP serving tier: one `poll(2)` readiness loop over
+/// all connections, feeding the [`ServeHandle`] pool.
 ///
 /// ```no_run
 /// use std::sync::Arc;
@@ -972,48 +567,185 @@ impl NetServer {
         self.shutdown.clone()
     }
 
-    /// Runs the server until a drain completes; returns what it served.
-    /// On unix this is the non-blocking readiness loop; elsewhere it
-    /// falls back to [`NetServer::run_blocking`].
+    /// Runs the `poll(2)` readiness loop until a drain completes;
+    /// returns what it served.
     ///
     /// # Errors
     ///
-    /// [`NetError::Io`] on a fatal loop error (poller or listener —
-    /// never an individual connection).
+    /// [`NetError::Io`] on a fatal loop error (poll or listener — never
+    /// an individual connection). Off unix the tier is unsupported:
+    /// an [`io::ErrorKind::Unsupported`] error, before serving anything.
     pub fn run(self) -> Result<NetSummary, NetError> {
         #[cfg(unix)]
-        {
-            self.run_event_loop()
-        }
+        return reactor::run(self);
         #[cfg(not(unix))]
-        {
-            self.run_blocking()
+        Err(NetError::Io {
+            context: "serve".into(),
+            source: io::Error::new(
+                io::ErrorKind::Unsupported,
+                "the TCP tier needs a unix poll(2)",
+            ),
+        })
+    }
+}
+
+// ---------------------------------------------------------------------
+// The readiness loop (unix): raw syscalls, wake socket, connections
+// ---------------------------------------------------------------------
+
+#[cfg(unix)]
+mod reactor {
+    use super::*;
+    use std::os::raw::{c_int, c_void};
+    use std::os::unix::io::{AsRawFd, RawFd};
+    use std::os::unix::net::UnixStream;
+
+    // Raw syscalls, hand-rolled the way [`crate::mmap`] wraps `mmap(2)`
+    // (the vendored environment has no libc crate).
+
+    /// `nfds_t`: `unsigned long` on Linux and Solarish, `unsigned int`
+    /// on the BSDs and macOS — a wrong width shifts `timeout` on 32-bit.
+    #[allow(non_camel_case_types)]
+    #[cfg(any(target_os = "linux", target_os = "illumos", target_os = "solaris"))]
+    type nfds_t = std::os::raw::c_ulong;
+    #[allow(non_camel_case_types)]
+    #[cfg(not(any(target_os = "linux", target_os = "illumos", target_os = "solaris")))]
+    type nfds_t = std::os::raw::c_uint;
+
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    pub(super) struct PollFd {
+        fd: c_int,
+        events: i16,
+        pub(super) revents: i16,
+    }
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: nfds_t, timeout: c_int) -> c_int;
+        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+        fn signal(signum: c_int, handler: usize) -> usize;
+    }
+
+    pub(super) const POLLIN: i16 = 0x1;
+    const POLLOUT: i16 = 0x4;
+    const POLLERR: i16 = 0x8;
+    const POLLHUP: i16 = 0x10;
+    const POLLNVAL: i16 = 0x20;
+
+    const SIGINT: c_int = 2;
+    const SIGTERM: c_int = 15;
+
+    impl PollFd {
+        pub(super) fn new(fd: RawFd, events: i16) -> PollFd {
+            PollFd {
+                fd,
+                events,
+                revents: 0,
+            }
         }
     }
 
-    #[cfg(unix)]
-    fn run_event_loop(self) -> Result<NetSummary, NetError> {
+    /// Millisecond timeout for `poll(2)`: `None` blocks forever; a
+    /// sub-millisecond remainder rounds **up** so a pending timer never
+    /// busy-spins.
+    fn timeout_ms(timeout: Option<Duration>) -> c_int {
+        timeout.map_or(-1, |d| {
+            d.as_nanos().div_ceil(1_000_000).min(c_int::MAX as u128) as c_int
+        })
+    }
+
+    /// Waits for readiness on `fds`, filling each `revents`. A signal
+    /// interruption reports no readiness instead of an error, so the
+    /// caller re-checks its shutdown flag.
+    pub(super) fn poll_wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
+        let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as nfds_t, timeout_ms(timeout)) };
+        if n < 0 {
+            let err = io::Error::last_os_error();
+            for fd in fds.iter_mut() {
+                fd.revents = 0;
+            }
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes one wake byte to `fd` (−1: no loop running). Raw
+    /// `write(2)` because signal handlers call it.
+    pub(super) fn poke(fd: RawFd) {
+        if fd >= 0 {
+            let byte = [1u8];
+            unsafe { write(fd, byte.as_ptr().cast(), 1) };
+        }
+    }
+
+    /// The loop's nonblocking wake socket pair: pool workers and signal
+    /// handlers [`poke`] the `tx` fd, the loop polls `rx`.
+    pub(super) struct Wake {
+        pub(super) rx: UnixStream,
+        pub(super) tx: UnixStream,
+    }
+
+    impl Wake {
+        pub(super) fn new() -> io::Result<Wake> {
+            let (rx, tx) = UnixStream::pair()?;
+            rx.set_nonblocking(true)?;
+            tx.set_nonblocking(true)?;
+            Ok(Wake { rx, tx })
+        }
+
+        /// Reads pending wake bytes (`poll(2)` is level-triggered and
+        /// re-reports anything left behind).
+        pub(super) fn drain(&self) {
+            let mut buf = [0u8; 64];
+            while let Ok(n) = (&self.rx).read(&mut buf) {
+                if n < buf.len() {
+                    break;
+                }
+            }
+        }
+    }
+
+    static SIGNAL_TARGET: std::sync::OnceLock<ShutdownHandle> = std::sync::OnceLock::new();
+
+    extern "C" fn drain_on_signal(_sig: c_int) {
+        // Async-signal-safe: an atomic store and a write(2), nothing else.
+        if let Some(handle) = SIGNAL_TARGET.get() {
+            handle.shutdown();
+        }
+    }
+
+    pub(super) fn install_signal_drain(handle: &ShutdownHandle) {
+        let _ = SIGNAL_TARGET.set(handle.clone());
+        unsafe {
+            signal(SIGINT, drain_on_signal as *const () as usize);
+            signal(SIGTERM, drain_on_signal as *const () as usize);
+        }
+    }
+
+    const TOKEN_LISTENER: u64 = 0;
+    const TOKEN_WAKE: u64 = 1;
+    const FIRST_CONN_TOKEN: u64 = 2;
+
+    pub(super) fn run(server: NetServer) -> Result<NetSummary, NetError> {
         let NetServer {
             listener,
             store,
             registry,
             config,
             shutdown,
-        } = self;
-        use std::os::unix::io::AsRawFd;
+        } = server;
 
         listener
             .set_nonblocking(true)
             .map_err(NetError::io("listener nonblock"))?;
-        let wake = WakePipe::new().map_err(NetError::io("wake pipe"))?;
-        shutdown
-            .shared
-            .wake_fd
-            .store(wake.write_fd, Ordering::SeqCst);
+        let wake = Wake::new().map_err(NetError::io("wake socket"))?;
+        let notify_fd = wake.tx.as_raw_fd();
+        shutdown.shared.wake_fd.store(notify_fd, Ordering::SeqCst);
         let metrics = registry
             .is_enabled()
             .then(|| NetMetrics::from_registry(&registry));
-        let notify_fd = wake.write_fd;
         let handle = ServeHandle::with_notifier(
             Arc::clone(&store),
             config.workers,
@@ -1021,17 +753,7 @@ impl NetServer {
             Arc::new(move || poke(notify_fd)),
         );
 
-        let mut poller = Poller::new().map_err(NetError::io("poller"))?;
-        let listener_fd = listener.as_raw_fd();
-        poller
-            .add(listener_fd, TOKEN_LISTENER, true, false)
-            .map_err(NetError::io("register listener"))?;
-        poller
-            .add(wake.read_fd, TOKEN_WAKE, true, false)
-            .map_err(NetError::io("register wake pipe"))?;
-
         let mut lp = EventLoop {
-            poller,
             conns: HashMap::new(),
             submissions: VecDeque::new(),
             handle,
@@ -1046,7 +768,10 @@ impl NetServer {
         let mut deadline: Option<Instant> = None;
         let mut next_refresh = (config.refresh_interval > Duration::ZERO)
             .then(|| Instant::now() + config.refresh_interval);
-        let mut events: Vec<Event> = Vec::new();
+        // Rebuilt every turn from the wake socket, the listener, and each
+        // connection's wanted interest; `tokens[i]` owns `fds[i]`.
+        let mut fds: Vec<PollFd> = Vec::new();
+        let mut tokens: Vec<u64> = Vec::new();
 
         loop {
             if shutdown.is_shutdown() && !draining {
@@ -1058,7 +783,6 @@ impl NetServer {
                     // in the accept backlog; closing the listener would
                     // RST them. Adopt them into the drain first.
                     lp.accept_all(&l);
-                    let _ = lp.poller.remove(l.as_raw_fd());
                     // Dropping closes the socket: no new connections.
                 }
             }
@@ -1073,13 +797,26 @@ impl NetServer {
                 let until = d.saturating_duration_since(now);
                 timeout = Some(timeout.map_or(until, |t| t.min(until)));
             }
-            lp.poller
-                .wait(timeout, &mut events)
-                .map_err(NetError::io("poll wait"))?;
+            fds.clear();
+            tokens.clear();
+            fds.push(PollFd::new(wake.rx.as_raw_fd(), POLLIN));
+            tokens.push(TOKEN_WAKE);
+            if let Some(l) = &listener {
+                fds.push(PollFd::new(l.as_raw_fd(), POLLIN));
+                tokens.push(TOKEN_LISTENER);
+            }
+            for (&token, conn) in &lp.conns {
+                fds.push(PollFd::new(conn.stream.as_raw_fd(), conn.interest()));
+                tokens.push(token);
+            }
+            poll_wait(&mut fds, timeout).map_err(NetError::io("poll wait"))?;
 
             let mut touched: Vec<u64> = Vec::new();
-            for ev in &events {
-                match ev.token {
+            for (fd, &token) in fds.iter().zip(&tokens) {
+                if fd.revents == 0 {
+                    continue;
+                }
+                match token {
                     TOKEN_WAKE => wake.drain(),
                     TOKEN_LISTENER => {
                         if let Some(l) = &listener {
@@ -1088,10 +825,10 @@ impl NetServer {
                     }
                     token => {
                         if let Some(conn) = lp.conns.get_mut(&token) {
-                            if ev.readable {
+                            if fd.revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL) != 0 {
                                 read_into(conn, &lp.metrics);
                             }
-                            let _ = ev.writable; // pump retries the write either way
+                            // pump retries the write on any readiness
                             touched.push(token);
                         }
                     }
@@ -1133,662 +870,401 @@ impl NetServer {
         Ok(summary)
     }
 
-    /// Portable blocking fallback: one thread per connection, requests
-    /// served in arrival order straight off the store. Same protocol,
-    /// same response bytes, same drain semantics (stop accepting,
-    /// connections finish when their peer half-closes, stragglers are
-    /// force-closed once [`NetConfig::drain_deadline`] passes) — used
-    /// as [`NetServer::run`] off unix, and kept compiled and tested
-    /// everywhere so it cannot rot.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Io`] if the listener breaks.
-    pub fn run_blocking(self) -> Result<NetSummary, NetError> {
-        let NetServer {
-            listener,
-            store,
-            registry,
-            config,
-            shutdown,
-        } = self;
-        listener
-            .set_nonblocking(true)
-            .map_err(NetError::io("listener nonblock"))?;
-        let metrics = registry
-            .is_enabled()
-            .then(|| NetMetrics::from_registry(&registry));
-        let counters = Arc::new(BlockingCounters::default());
-        // Clones of every live accepted stream, so the drain watchdog
-        // can `shutdown(Both)` stragglers (which unblocks their
-        // connection thread's read/write); each thread removes its own
-        // entry on exit so the registry doesn't grow with server age.
-        let tracked: Arc<Mutex<Vec<(u64, TcpStream)>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut joins = Vec::new();
-        let mut accepted = 0u64;
-        let mut next_refresh = (config.refresh_interval > Duration::ZERO)
-            .then(|| Instant::now() + config.refresh_interval);
-        while !shutdown.is_shutdown() {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    accepted += 1;
-                    if let Some(m) = &metrics {
-                        m.accepted.inc();
-                        m.active_connections.add(1);
-                    }
-                    let id = accepted;
-                    if let Ok(clone) = stream.try_clone() {
-                        lock_tracked(&tracked).push((id, clone));
-                    }
-                    let store = Arc::clone(&store);
-                    let registry = Arc::clone(&registry);
-                    let metrics = metrics.clone();
-                    let counters = Arc::clone(&counters);
-                    let tracked = Arc::clone(&tracked);
-                    joins.push(std::thread::spawn(move || {
-                        serve_blocking(
-                            stream,
-                            peer.to_string(),
-                            store,
-                            registry,
-                            metrics,
-                            counters,
-                        );
-                        lock_tracked(&tracked).retain(|(tid, _)| *tid != id);
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    return Err(NetError::Io {
-                        context: "accept".into(),
-                        source: e,
-                    })
-                }
-            }
-            if let Some(t) = next_refresh {
-                if Instant::now() >= t {
-                    store.refresh();
-                    if let Some(m) = &metrics {
-                        m.refresh_ticks.inc();
-                    }
-                    next_refresh = Some(Instant::now() + config.refresh_interval);
-                }
-            }
-        }
-        drop(listener);
-        // Honor the drain deadline (the analog of the event loop's
-        // force-close): a watchdog shuts down every still-tracked
-        // stream once it passes, so an idle connected peer cannot
-        // block shutdown indefinitely.
-        let drained = Arc::new(AtomicBool::new(false));
-        let watchdog = {
-            let tracked = Arc::clone(&tracked);
-            let drained = Arc::clone(&drained);
-            let deadline = Instant::now() + config.drain_deadline;
-            std::thread::spawn(move || {
-                while !drained.load(Ordering::SeqCst) {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        for (_, stream) in lock_tracked(&tracked).iter() {
-                            let _ = stream.shutdown(Shutdown::Both);
-                        }
-                        return;
-                    }
-                    std::thread::sleep(left.min(Duration::from_millis(20)));
-                }
-            })
+    fn report_protocol_error(
+        peer: &str,
+        frame: &'static str,
+        error: &FrameError,
+        metrics: &Option<NetMetrics>,
+    ) {
+        let err = NetError::Protocol {
+            peer: peer.to_string(),
+            frame,
+            error: error.clone(),
         };
-        for join in joins {
-            let _ = join.join();
+        eprintln!("ftd net: {err}");
+        if let Some(m) = metrics {
+            m.record_protocol_error(peer, err.kind_label());
         }
-        drained.store(true, Ordering::SeqCst);
-        let _ = watchdog.join();
-        Ok(NetSummary {
-            accepted,
-            served: counters.served.load(Ordering::SeqCst),
-            errors: counters.errors.load(Ordering::SeqCst),
-            protocol_errors: counters.protocol_errors.load(Ordering::SeqCst),
-        })
     }
-}
 
-/// Locks the blocking tier's stream registry, recovering from
-/// poisoning the same way the metrics registry does (the state is just
-/// a list of fds; a panicked holder leaves it usable).
-fn lock_tracked(
-    tracked: &Mutex<Vec<(u64, TcpStream)>>,
-) -> std::sync::MutexGuard<'_, Vec<(u64, TcpStream)>> {
-    tracked
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+    /// One queued reply slot. Replies leave in queue order; a diagnosis
+    /// slot's body arrives when its pool batch completes, a stats or
+    /// error slot is born with its body.
+    struct Reply {
+        received: Instant,
+        body: Option<Vec<u8>>,
+        /// Whether this reply samples the wire-latency histogram — true
+        /// only for diagnosis requests, so stats and error frames never
+        /// skew `net_request_wire_us`.
+        measure: bool,
+    }
 
-#[derive(Debug, Default)]
-struct BlockingCounters {
-    served: AtomicU64,
-    errors: AtomicU64,
-    protocol_errors: AtomicU64,
-}
+    struct Conn {
+        stream: TcpStream,
+        peer: String,
+        rbuf: Vec<u8>,
+        wbuf: Vec<u8>,
+        wpos: usize,
+        queue: VecDeque<Reply>,
+        /// Peer half-closed (or a protocol error poisoned the stream):
+        /// stop reading, finish pending replies, flush, close.
+        read_closed: bool,
+        /// Fatal socket error: close as soon as control returns.
+        dead: bool,
+        /// Read interest dropped under backpressure.
+        stalled: bool,
+    }
 
-/// One blocking connection: decode → diagnose → respond, in order.
-fn serve_blocking(
-    mut stream: TcpStream,
-    peer: String,
-    store: Arc<BankStore>,
-    registry: Arc<MetricsRegistry>,
-    metrics: Option<NetMetrics>,
-    counters: Arc<BlockingCounters>,
-) {
-    let _ = stream.set_nodelay(true);
-    let mut rbuf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    'conn: loop {
-        loop {
-            let (kind, payload, consumed) = match decode_frame(&rbuf) {
-                Ok(None) => break,
-                Ok(Some((kind, payload, consumed))) => (kind, payload.to_vec(), consumed),
-                Err((kind, error)) => {
-                    report_protocol_error(&peer, frame_name(kind), &error, &metrics);
-                    counters.protocol_errors.fetch_add(1, Ordering::SeqCst);
-                    let _ = stream.write_all(&encode_text_frame(FRAME_ERROR, &error.to_string()));
-                    break 'conn;
-                }
+    impl Conn {
+        fn unsent(&self) -> usize {
+            self.wbuf.len() - self.wpos
+        }
+
+        fn finished(&self) -> bool {
+            self.dead || (self.read_closed && self.queue.is_empty() && self.unsent() == 0)
+        }
+
+        /// The `poll(2)` events this connection waits for: reads unless
+        /// half-closed or stalled, writes while output is unsent.
+        fn interest(&self) -> i16 {
+            let read = if self.read_closed || self.stalled {
+                0
+            } else {
+                POLLIN
             };
-            rbuf.drain(..consumed);
-            let started = Instant::now();
-            let reply = match kind {
-                FRAME_REQUEST => match decode_request(&payload) {
-                    Ok(request) => {
-                        if let Some(m) = &metrics {
-                            m.requests.inc();
-                        }
-                        let result = store.diagnose(&request);
-                        counters.served.fetch_add(1, Ordering::SeqCst);
-                        if result.is_err() {
-                            counters.errors.fetch_add(1, Ordering::SeqCst);
-                        }
-                        encode_response(&response_line(&request.cut_id, &result), result.is_err())
-                    }
-                    Err(error) => {
-                        report_protocol_error(&peer, "request", &error, &metrics);
-                        counters.protocol_errors.fetch_add(1, Ordering::SeqCst);
-                        let _ =
-                            stream.write_all(&encode_text_frame(FRAME_ERROR, &error.to_string()));
-                        break 'conn;
-                    }
-                },
-                FRAME_STATS_REQUEST => {
-                    encode_text_frame(FRAME_STATS, &registry.snapshot().to_prometheus())
-                }
-                other => {
-                    let error =
-                        FrameError::Malformed(format!("unexpected {} frame", frame_name(other)));
-                    report_protocol_error(&peer, frame_name(other), &error, &metrics);
-                    counters.protocol_errors.fetch_add(1, Ordering::SeqCst);
-                    let _ = stream.write_all(&encode_text_frame(FRAME_ERROR, &error.to_string()));
-                    break 'conn;
-                }
-            };
-            if stream.write_all(&reply).is_err() {
-                break 'conn;
-            }
-            if let Some(m) = &metrics {
-                m.bytes_out.add(reply.len() as u64);
-                if kind == FRAME_REQUEST {
-                    m.wire_latency
-                        .record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
-                }
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                rbuf.extend_from_slice(&chunk[..n]);
-                if let Some(m) = &metrics {
-                    m.bytes_in.add(n as u64);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
+            let write = if self.unsent() > 0 { POLLOUT } else { 0 };
+            read | write
         }
     }
-    let _ = stream.shutdown(Shutdown::Both);
-    if let Some(m) = &metrics {
-        m.closed.inc();
-        m.active_connections.sub(1);
-    }
-}
 
-fn report_protocol_error(
-    peer: &str,
-    frame: &'static str,
-    error: &FrameError,
-    metrics: &Option<NetMetrics>,
-) {
-    let err = NetError::Protocol {
-        peer: peer.to_string(),
-        frame,
-        error: error.clone(),
-    };
-    eprintln!("ftd net: {err}");
-    if let Some(m) = metrics {
-        m.record_protocol_error(peer, err.kind_label());
-    }
-}
-
-// ---------------------------------------------------------------------
-// Event loop internals (unix)
-// ---------------------------------------------------------------------
-
-#[cfg(unix)]
-const TOKEN_LISTENER: u64 = 0;
-#[cfg(unix)]
-const TOKEN_WAKE: u64 = 1;
-#[cfg(unix)]
-const FIRST_CONN_TOKEN: u64 = 2;
-
-/// One queued reply slot. Replies leave in queue order; a diagnosis
-/// slot's body arrives when its pool batch completes, a stats or error
-/// slot is born with its body.
-#[cfg(unix)]
-struct Reply {
-    received: Instant,
-    body: Option<Vec<u8>>,
-    /// Whether this reply samples the wire-latency histogram — true
-    /// only for diagnosis requests, so stats and error frames never
-    /// skew `net_request_wire_us`.
-    measure: bool,
-}
-
-#[cfg(unix)]
-struct Conn {
-    stream: TcpStream,
-    fd: std::os::unix::io::RawFd,
-    token: u64,
-    peer: String,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    queue: VecDeque<Reply>,
-    /// Peer half-closed (or a protocol error poisoned the stream):
-    /// stop reading, finish pending replies, flush, close.
-    read_closed: bool,
-    /// Fatal socket error: close as soon as control returns.
-    dead: bool,
-    /// Read interest dropped under backpressure.
-    stalled: bool,
-    want_read: bool,
-    want_write: bool,
-}
-
-#[cfg(unix)]
-impl Conn {
-    fn unsent(&self) -> usize {
-        self.wbuf.len() - self.wpos
+    /// One pool submission's bookkeeping: which connection it came from
+    /// and the CUT id of each request, in order (needed to render lines).
+    struct Submission {
+        conn: u64,
+        cuts: Vec<String>,
     }
 
-    fn finished(&self) -> bool {
-        self.dead || (self.read_closed && self.queue.is_empty() && self.unsent() == 0)
+    struct EventLoop {
+        conns: HashMap<u64, Conn>,
+        submissions: VecDeque<Submission>,
+        handle: ServeHandle,
+        registry: Arc<MetricsRegistry>,
+        metrics: Option<NetMetrics>,
+        config: NetConfig,
+        next_token: u64,
+        summary: NetSummary,
     }
-}
 
-/// One pool submission's bookkeeping: which connection it came from and
-/// the CUT id of each request, in order (needed to render lines).
-#[cfg(unix)]
-struct Submission {
-    conn: u64,
-    cuts: Vec<String>,
-}
-
-#[cfg(unix)]
-struct EventLoop {
-    poller: Poller,
-    conns: HashMap<u64, Conn>,
-    submissions: VecDeque<Submission>,
-    handle: ServeHandle,
-    registry: Arc<MetricsRegistry>,
-    metrics: Option<NetMetrics>,
-    config: NetConfig,
-    next_token: u64,
-    summary: NetSummary,
-}
-
-#[cfg(unix)]
-impl EventLoop {
-    fn accept_all(&mut self, listener: &TcpListener) {
-        use std::os::unix::io::AsRawFd;
-        loop {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let fd = stream.as_raw_fd();
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self.poller.add(fd, token, true, false).is_err() {
-                        continue; // dropping the stream closes it
-                    }
-                    self.summary.accepted += 1;
-                    if let Some(m) = &self.metrics {
-                        m.accepted.inc();
-                        m.active_connections.add(1);
-                    }
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            fd,
+    impl EventLoop {
+        fn accept_all(&mut self, listener: &TcpListener) {
+            loop {
+                match listener.accept() {
+                    Ok((stream, peer)) => {
+                        if stream.set_nonblocking(true).is_err() {
+                            continue; // dropping the stream closes it
+                        }
+                        let _ = stream.set_nodelay(true);
+                        let token = self.next_token;
+                        self.next_token += 1;
+                        self.summary.accepted += 1;
+                        if let Some(m) = &self.metrics {
+                            m.accepted.inc();
+                            m.active_connections.add(1);
+                        }
+                        self.conns.insert(
                             token,
-                            peer: peer.to_string(),
-                            rbuf: Vec::new(),
-                            wbuf: Vec::new(),
-                            wpos: 0,
-                            queue: VecDeque::new(),
-                            read_closed: false,
-                            dead: false,
-                            stalled: false,
-                            want_read: true,
-                            want_write: false,
-                        },
-                    );
+                            Conn {
+                                stream,
+                                peer: peer.to_string(),
+                                rbuf: Vec::new(),
+                                wbuf: Vec::new(),
+                                wpos: 0,
+                                queue: VecDeque::new(),
+                                read_closed: false,
+                                dead: false,
+                                stalled: false,
+                            },
+                        );
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(_) => break, // transient (EMFILE, reset mid-accept, …)
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break, // transient (EMFILE, reset mid-accept, …)
             }
         }
-    }
 
-    /// Collects every completed pool batch into its connection's reply
-    /// queue; returns the touched connection tokens.
-    fn absorb_completions(&mut self) -> Vec<u64> {
-        let mut touched = Vec::new();
-        while let Some(results) = self.handle.try_drain_one() {
-            let sub = self
-                .submissions
-                .pop_front()
-                .expect("one submission per pool batch");
-            self.summary.served += results.len() as u64;
-            self.summary.errors += results.iter().filter(|r| r.is_err()).count() as u64;
-            if let Some(conn) = self.conns.get_mut(&sub.conn) {
-                fill_replies(conn, &sub.cuts, &results);
-                touched.push(sub.conn);
+        /// Collects every completed pool batch into its connection's
+        /// reply queue; returns the touched connection tokens.
+        fn absorb_completions(&mut self) -> Vec<u64> {
+            let mut touched = Vec::new();
+            while let Some(results) = self.handle.try_drain_one() {
+                let sub = self
+                    .submissions
+                    .pop_front()
+                    .expect("one submission per pool batch");
+                self.summary.served += results.len() as u64;
+                self.summary.errors += results.iter().filter(|r| r.is_err()).count() as u64;
+                if let Some(conn) = self.conns.get_mut(&sub.conn) {
+                    fill_replies(conn, &sub.cuts, &results);
+                    touched.push(sub.conn);
+                }
+                // A closed connection's results are simply dropped.
             }
-            // A closed connection's results are simply dropped.
+            touched
         }
-        touched
-    }
 
-    /// Makes all progress possible on one connection: parse newly read
-    /// frames (submitting a pool batch), move completed replies to the
-    /// write buffer, write, and either close or update poller interest.
-    fn pump(&mut self, token: u64) {
-        loop {
+        /// Makes all progress possible on one connection: parse newly
+        /// read frames (submitting a pool batch), move completed replies
+        /// to the write buffer, write, and either close or update the
+        /// backpressure stall.
+        fn pump(&mut self, token: u64) {
+            loop {
+                let Some(conn) = self.conns.get_mut(&token) else {
+                    return;
+                };
+                let before = (conn.rbuf.len(), conn.queue.len(), conn.unsent());
+                let mut batch = Vec::new();
+                let mut cuts = Vec::new();
+                self.summary.protocol_errors += parse_frames(
+                    conn,
+                    &self.config,
+                    &self.registry,
+                    &self.metrics,
+                    &mut batch,
+                    &mut cuts,
+                );
+                flush_ready(conn, &self.metrics);
+                write_some(conn, &self.metrics);
+                let progressed = (conn.rbuf.len(), conn.queue.len(), conn.unsent()) != before;
+                if !batch.is_empty() {
+                    self.handle.submit(batch);
+                    self.submissions.push_back(Submission { conn: token, cuts });
+                }
+                if !progressed {
+                    break;
+                }
+            }
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            let before = (conn.rbuf.len(), conn.queue.len(), conn.unsent());
-            let mut batch = Vec::new();
-            let mut cuts = Vec::new();
-            self.summary.protocol_errors += parse_frames(
-                conn,
-                &self.config,
-                &self.registry,
-                &self.metrics,
-                &mut batch,
-                &mut cuts,
-            );
-            flush_ready(conn, &self.metrics);
-            write_some(conn, &self.metrics);
-            let progressed = (conn.rbuf.len(), conn.queue.len(), conn.unsent()) != before;
-            if !batch.is_empty() {
-                self.handle.submit(batch);
-                self.submissions.push_back(Submission { conn: token, cuts });
-            }
-            if !progressed {
-                break;
+            if conn.finished() {
+                self.close_conn(token);
+            } else {
+                update_interest(conn, &self.metrics, &self.config);
             }
         }
-        let Some(conn) = self.conns.get_mut(&token) else {
+
+        fn close_conn(&mut self, token: u64) {
+            if self.conns.remove(&token).is_some() {
+                if let Some(m) = &self.metrics {
+                    m.closed.inc();
+                    m.active_connections.sub(1);
+                }
+                // Dropping the stream closes the socket.
+            }
+        }
+    }
+
+    /// Reads everything currently available off the socket.
+    fn read_into(conn: &mut Conn, metrics: &Option<NetMetrics>) {
+        if conn.read_closed || conn.dead {
             return;
-        };
-        if conn.finished() {
-            self.close_conn(token);
-        } else {
-            update_interest(conn, &mut self.poller, &self.metrics, &self.config);
         }
-    }
-
-    fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.remove(conn.fd);
-            if let Some(m) = &self.metrics {
-                m.closed.inc();
-                m.active_connections.sub(1);
-            }
-            // Dropping the stream closes the socket.
-        }
-    }
-}
-
-/// Reads everything currently available off the socket.
-#[cfg(unix)]
-fn read_into(conn: &mut Conn, metrics: &Option<NetMetrics>) {
-    if conn.read_closed || conn.dead {
-        return;
-    }
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                conn.read_closed = true;
-                break;
-            }
-            Ok(n) => {
-                conn.rbuf.extend_from_slice(&chunk[..n]);
-                if let Some(m) = metrics {
-                    m.bytes_in.add(n as u64);
+        let mut chunk = [0u8; 16 * 1024];
+        loop {
+            match conn.stream.read(&mut chunk) {
+                Ok(0) => {
+                    conn.read_closed = true;
+                    break;
+                }
+                Ok(n) => {
+                    conn.rbuf.extend_from_slice(&chunk[..n]);
+                    if let Some(m) = metrics {
+                        m.bytes_in.add(n as u64);
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    conn.dead = true;
+                    break;
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.dead = true;
-                break;
-            }
         }
     }
-}
 
-/// Decodes complete frames off `conn.rbuf` up to the in-flight budget.
-/// Requests go into `batch`/`cuts`; stats requests answer immediately
-/// in-order; a corrupt frame queues a terminal error reply and poisons
-/// the read side. Returns how many protocol errors occurred (0 or 1).
-#[cfg(unix)]
-fn parse_frames(
-    conn: &mut Conn,
-    config: &NetConfig,
-    registry: &MetricsRegistry,
-    metrics: &Option<NetMetrics>,
-    batch: &mut Vec<DiagnosisRequest>,
-    cuts: &mut Vec<String>,
-) -> u64 {
-    let mut consumed = 0usize;
-    let failure = loop {
-        // EOF does not gate parsing: bytes already buffered at
-        // half-close are complete, valid requests and must be answered
-        // (an unfinished trailing frame is simply abandoned).
-        if conn.dead || conn.queue.len() >= config.max_inflight {
-            break None;
-        }
-        enum Parsed {
-            Request(DiagnosisRequest),
-            Stats,
-        }
-        let step: Result<(Parsed, usize), (&'static str, FrameError)> =
-            match decode_frame(&conn.rbuf[consumed..]) {
-                Ok(None) => break None,
-                Ok(Some((FRAME_REQUEST, payload, used))) => match decode_request(payload) {
-                    Ok(request) => Ok((Parsed::Request(request), used)),
-                    Err(error) => Err(("request", error)),
-                },
-                Ok(Some((FRAME_STATS_REQUEST, _, used))) => Ok((Parsed::Stats, used)),
-                Ok(Some((other, _, _))) => Err((
-                    frame_name(other),
-                    FrameError::Malformed(format!("unexpected {} frame", frame_name(other))),
-                )),
-                Err((kind, error)) => Err((frame_name(kind), error)),
-            };
-        match step {
-            Ok((parsed, used)) => {
-                consumed += used;
-                match parsed {
-                    Parsed::Request(request) => {
-                        if let Some(m) = metrics {
-                            m.requests.inc();
+    /// Decodes complete frames off `conn.rbuf` up to the in-flight
+    /// budget. Requests go into `batch`/`cuts`; stats requests answer
+    /// immediately in-order; a corrupt frame queues a terminal error
+    /// reply and poisons the read side. Returns how many protocol errors
+    /// occurred (0 or 1).
+    fn parse_frames(
+        conn: &mut Conn,
+        config: &NetConfig,
+        registry: &MetricsRegistry,
+        metrics: &Option<NetMetrics>,
+        batch: &mut Vec<DiagnosisRequest>,
+        cuts: &mut Vec<String>,
+    ) -> u64 {
+        let mut consumed = 0usize;
+        let failure = loop {
+            // EOF does not gate parsing: bytes already buffered at
+            // half-close are complete, valid requests and must be
+            // answered (an unfinished trailing frame is simply
+            // abandoned).
+            if conn.dead || conn.queue.len() >= config.max_inflight {
+                break None;
+            }
+            enum Parsed {
+                Request(DiagnosisRequest),
+                Stats,
+            }
+            let step: Result<(Parsed, usize), (&'static str, FrameError)> =
+                match decode_frame(&conn.rbuf[consumed..]) {
+                    Ok(None) => break None,
+                    Ok(Some((FRAME_REQUEST, payload, used))) => match decode_request(payload) {
+                        Ok(request) => Ok((Parsed::Request(request), used)),
+                        Err(error) => Err(("request", error)),
+                    },
+                    Ok(Some((FRAME_STATS_REQUEST, _, used))) => Ok((Parsed::Stats, used)),
+                    Ok(Some((other, _, _))) => Err((
+                        frame_name(other),
+                        FrameError::Malformed(format!("unexpected {} frame", frame_name(other))),
+                    )),
+                    Err((kind, error)) => Err((frame_name(kind), error)),
+                };
+            match step {
+                Ok((parsed, used)) => {
+                    consumed += used;
+                    match parsed {
+                        Parsed::Request(request) => {
+                            if let Some(m) = metrics {
+                                m.requests.inc();
+                            }
+                            cuts.push(request.cut_id.clone());
+                            batch.push(request);
+                            conn.queue.push_back(Reply {
+                                received: Instant::now(),
+                                body: None,
+                                measure: true,
+                            });
                         }
-                        cuts.push(request.cut_id.clone());
-                        batch.push(request);
-                        conn.queue.push_back(Reply {
-                            received: Instant::now(),
-                            body: None,
-                            measure: true,
-                        });
-                    }
-                    Parsed::Stats => {
-                        let text = registry.snapshot().to_prometheus();
-                        conn.queue.push_back(Reply {
-                            received: Instant::now(),
-                            body: Some(encode_text_frame(FRAME_STATS, &text)),
-                            measure: false,
-                        });
+                        Parsed::Stats => {
+                            let text = registry.snapshot().to_prometheus();
+                            conn.queue.push_back(Reply {
+                                received: Instant::now(),
+                                body: Some(encode_text_frame(FRAME_STATS, &text)),
+                                measure: false,
+                            });
+                        }
                     }
                 }
+                Err((frame, error)) => break Some((frame, error)),
             }
-            Err((frame, error)) => break Some((frame, error)),
+        };
+        if let Some((frame, error)) = failure {
+            report_protocol_error(&conn.peer, frame, &error, metrics);
+            // Terminal reply queued *behind* anything already accepted:
+            // earlier requests on this connection still answer, then the
+            // error flushes and the connection closes. One bad frame
+            // never touches any other connection.
+            conn.queue.push_back(Reply {
+                received: Instant::now(),
+                body: Some(encode_text_frame(FRAME_ERROR, &error.to_string())),
+                measure: false,
+            });
+            conn.read_closed = true;
+            conn.rbuf.clear();
+            return 1;
         }
-    };
-    if let Some((frame, error)) = failure {
-        report_protocol_error(&conn.peer, frame, &error, metrics);
-        // Terminal reply queued *behind* anything already accepted:
-        // earlier requests on this connection still answer, then the
-        // error flushes and the connection closes. One bad frame never
-        // touches any other connection.
-        conn.queue.push_back(Reply {
-            received: Instant::now(),
-            body: Some(encode_text_frame(FRAME_ERROR, &error.to_string())),
-            measure: false,
-        });
-        conn.read_closed = true;
-        conn.rbuf.clear();
-        return 1;
+        if consumed > 0 {
+            conn.rbuf.drain(..consumed);
+        }
+        0
     }
-    if consumed > 0 {
-        conn.rbuf.drain(..consumed);
-    }
-    0
-}
 
-/// Fills the next `results.len()` body-less reply slots of `conn` with
-/// rendered response frames (global submission order preserves each
-/// connection's arrival order, so slots and results line up exactly).
-#[cfg(unix)]
-fn fill_replies(conn: &mut Conn, cuts: &[String], results: &[ServeResult]) {
-    let mut filled = 0usize;
-    for reply in conn.queue.iter_mut() {
-        if filled == results.len() {
-            break;
-        }
-        if reply.body.is_none() {
-            let result = &results[filled];
-            let line = response_line(&cuts[filled], result);
-            reply.body = Some(encode_response(&line, result.is_err()));
-            filled += 1;
-        }
-    }
-    debug_assert_eq!(filled, results.len(), "reply slots match the batch");
-}
-
-/// Moves completed replies, in order, from the queue to the write
-/// buffer; records wire latency at that moment.
-#[cfg(unix)]
-fn flush_ready(conn: &mut Conn, metrics: &Option<NetMetrics>) {
-    while let Some(front) = conn.queue.front() {
-        let Some(body) = &front.body else { break };
-        conn.wbuf.extend_from_slice(body);
-        if front.measure {
-            if let Some(m) = metrics {
-                m.wire_latency
-                    .record(front.received.elapsed().as_micros().min(u64::MAX as u128) as u64);
-            }
-        }
-        conn.queue.pop_front();
-    }
-    // Reclaim consumed prefix once it dominates the buffer.
-    if conn.wpos > 0 && conn.wpos * 2 >= conn.wbuf.len() {
-        conn.wbuf.drain(..conn.wpos);
-        conn.wpos = 0;
-    }
-}
-
-/// Writes as much buffered output as the socket accepts.
-#[cfg(unix)]
-fn write_some(conn: &mut Conn, metrics: &Option<NetMetrics>) {
-    while conn.wpos < conn.wbuf.len() {
-        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-            Ok(0) => {
-                conn.dead = true;
+    /// Fills the next `results.len()` body-less reply slots of `conn`
+    /// with rendered response frames (global submission order preserves
+    /// each connection's arrival order, so slots and results line up
+    /// exactly).
+    fn fill_replies(conn: &mut Conn, cuts: &[String], results: &[ServeResult]) {
+        let mut filled = 0usize;
+        for reply in conn.queue.iter_mut() {
+            if filled == results.len() {
                 break;
             }
-            Ok(n) => {
-                conn.wpos += n;
+            if reply.body.is_none() {
+                let result = &results[filled];
+                let line = response_line(&cuts[filled], result);
+                reply.body = Some(encode_response(&line, result.is_err()));
+                filled += 1;
+            }
+        }
+        debug_assert_eq!(filled, results.len(), "reply slots match the batch");
+    }
+
+    /// Moves completed replies, in order, from the queue to the write
+    /// buffer; records wire latency at that moment.
+    fn flush_ready(conn: &mut Conn, metrics: &Option<NetMetrics>) {
+        while let Some(front) = conn.queue.front() {
+            let Some(body) = &front.body else { break };
+            conn.wbuf.extend_from_slice(body);
+            if front.measure {
                 if let Some(m) = metrics {
-                    m.bytes_out.add(n as u64);
+                    m.wire_latency
+                        .record(front.received.elapsed().as_micros().min(u64::MAX as u128) as u64);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.dead = true;
-                break;
+            conn.queue.pop_front();
+        }
+        // Reclaim consumed prefix once it dominates the buffer.
+        if conn.wpos > 0 && conn.wpos * 2 >= conn.wbuf.len() {
+            conn.wbuf.drain(..conn.wpos);
+            conn.wpos = 0;
+        }
+    }
+
+    /// Writes as much buffered output as the socket accepts.
+    fn write_some(conn: &mut Conn, metrics: &Option<NetMetrics>) {
+        while conn.wpos < conn.wbuf.len() {
+            match conn.stream.write(&conn.wbuf[conn.wpos..]) {
+                Ok(0) => {
+                    conn.dead = true;
+                    break;
+                }
+                Ok(n) => {
+                    conn.wpos += n;
+                    if let Some(m) = metrics {
+                        m.bytes_out.add(n as u64);
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    conn.dead = true;
+                    break;
+                }
             }
         }
-    }
-    if conn.wpos == conn.wbuf.len() && conn.wpos > 0 {
-        conn.wbuf.clear();
-        conn.wpos = 0;
-    }
-}
-
-/// Recomputes backpressure state and poller interest for `conn`.
-#[cfg(unix)]
-fn update_interest(
-    conn: &mut Conn,
-    poller: &mut Poller,
-    metrics: &Option<NetMetrics>,
-    config: &NetConfig,
-) {
-    let throttled =
-        conn.queue.len() >= config.max_inflight || conn.unsent() >= config.write_highwater;
-    if throttled && !conn.stalled {
-        conn.stalled = true;
-        if let Some(m) = metrics {
-            m.backpressure_stalls.inc();
+        if conn.wpos == conn.wbuf.len() && conn.wpos > 0 {
+            conn.wbuf.clear();
+            conn.wpos = 0;
         }
-    } else if !throttled {
-        conn.stalled = false;
     }
-    let want_read = !conn.read_closed && !conn.stalled;
-    let want_write = conn.unsent() > 0;
-    if want_read != conn.want_read || want_write != conn.want_write {
-        conn.want_read = want_read;
-        conn.want_write = want_write;
-        let _ = poller.modify(conn.fd, conn.token, want_read, want_write);
+
+    /// Recomputes the backpressure stall that drops a connection's read
+    /// interest (see [`Conn::interest`]), counting each stall once.
+    fn update_interest(conn: &mut Conn, metrics: &Option<NetMetrics>, config: &NetConfig) {
+        let throttled =
+            conn.queue.len() >= config.max_inflight || conn.unsent() >= config.write_highwater;
+        if throttled && !conn.stalled {
+            conn.stalled = true;
+            if let Some(m) = metrics {
+                m.backpressure_stalls.inc();
+            }
+        } else if !throttled {
+            conn.stalled = false;
+        }
     }
 }
 
@@ -2419,48 +1895,19 @@ mod tests {
 
     #[cfg(unix)]
     #[test]
-    fn poll_backend_reports_pipe_readiness() {
-        let mut poller = Poller::poll_backend().unwrap();
-        let pipe = WakePipe::new().unwrap();
-        poller.add(pipe.read_fd, 42, true, false).unwrap();
-        let mut events = Vec::new();
-        poller
-            .wait(Some(Duration::from_millis(10)), &mut events)
-            .unwrap();
-        assert!(events.is_empty(), "nothing written yet");
-        poke(pipe.write_fd);
-        poller
-            .wait(Some(Duration::from_millis(1000)), &mut events)
-            .unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 42);
-        assert!(events[0].readable);
-        pipe.drain();
-        poller.remove(pipe.read_fd).unwrap();
-        poller
-            .wait(Some(Duration::from_millis(10)), &mut events)
-            .unwrap();
-        assert!(events.is_empty(), "removed fd reports nothing");
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_backend_reports_pipe_readiness() {
-        let mut poller = Poller::new().unwrap();
-        let pipe = WakePipe::new().unwrap();
-        poller.add(pipe.read_fd, 7, true, false).unwrap();
-        let mut events = Vec::new();
-        poke(pipe.write_fd);
-        poller
-            .wait(Some(Duration::from_millis(1000)), &mut events)
-            .unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 7);
-        assert!(events[0].readable);
-        poller.modify(pipe.read_fd, 7, false, false).unwrap();
-        poller
-            .wait(Some(Duration::from_millis(10)), &mut events)
-            .unwrap();
-        assert!(events.is_empty(), "interest dropped");
+    fn poll_wait_reports_wake_readiness() {
+        use reactor::{poke, poll_wait, PollFd, Wake, POLLIN};
+        use std::os::unix::io::AsRawFd;
+        let wake = Wake::new().unwrap();
+        let wait = |ms| {
+            let mut fds = [PollFd::new(wake.rx.as_raw_fd(), POLLIN)];
+            poll_wait(&mut fds, Some(Duration::from_millis(ms))).unwrap();
+            fds[0].revents
+        };
+        assert_eq!(wait(10), 0, "nothing written yet");
+        poke(wake.tx.as_raw_fd());
+        assert_ne!(wait(1000) & POLLIN, 0);
+        wake.drain();
+        assert_eq!(wait(10), 0, "drained socket reports nothing");
     }
 }

@@ -115,8 +115,8 @@ impl ServeHandle {
     /// Like [`ServeHandle::with_metrics`], but additionally installs a
     /// completion notifier: workers call `notify` after publishing each
     /// finished run. A non-blocking front-end (the TCP event loop) uses
-    /// this to wake its poller — e.g. by writing one byte to a self-pipe
-    /// registered for read interest — and then collects the completed
+    /// this to wake its `poll(2)` — by writing one byte to a socket the
+    /// loop polls for read — and then collects the completed
     /// batches with [`ServeHandle::try_drain_one`] instead of parking on
     /// the blocking [`ServeHandle::drain_one`].
     ///

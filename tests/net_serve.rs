@@ -1,7 +1,7 @@
 //! Integration tests for the TCP serving tier: byte-identity against
 //! the in-process oracle across worker counts and pipeline depths,
-//! bounded-memory backpressure, graceful drain, per-connection fault
-//! isolation, and the blocking fallback.
+//! bounded-memory backpressure, graceful drain and its deadline, and
+//! per-connection fault isolation.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -337,72 +337,42 @@ fn bad_frame_kills_only_its_connection() {
 }
 
 #[test]
-fn blocking_fallback_serves_the_same_bytes() {
-    let (store, requests) = store_and_requests();
-    let expected = reference_lines(&store, &requests);
-    let registry = Arc::new(MetricsRegistry::new());
-    let server = NetServer::bind(
-        "127.0.0.1:0",
-        Arc::clone(&store),
-        &registry,
-        NetConfig {
-            refresh_interval: Duration::ZERO,
-            ..NetConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    let shutdown = server.shutdown_handle();
-    let join = thread::spawn(move || server.run_blocking().unwrap());
-    let report = run_loadgen(
-        &addr,
-        &requests,
-        &LoadgenConfig {
-            connections: 1,
-            depth: 8,
-            total: 0,
-            capture: true,
-        },
-    )
-    .unwrap();
-    assert_eq!(report.lines.as_deref(), Some(&expected[..]));
-    shutdown.shutdown();
-    let summary = join.join().unwrap();
-    assert_eq!(summary.served, requests.len() as u64);
-}
-
-#[test]
-fn blocking_fallback_honors_drain_deadline() {
+fn drain_deadline_force_closes_an_idle_peer() {
     let (store, _) = store_and_requests();
     let registry = Arc::new(MetricsRegistry::new());
-    let server = NetServer::bind(
-        "127.0.0.1:0",
+    let deadline = Duration::from_millis(200);
+    let server = Server::spawn(
         store,
         &registry,
         NetConfig {
             refresh_interval: Duration::ZERO,
-            drain_deadline: Duration::from_millis(200),
+            drain_deadline: deadline,
             ..NetConfig::default()
         },
-    )
-    .unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    let shutdown = server.shutdown_handle();
-    let join = thread::spawn(move || server.run_blocking().unwrap());
+    );
     // An idle peer that never sends a byte and never closes: without
-    // the force-close watchdog this would block shutdown forever.
-    let idle = TcpStream::connect(&addr).unwrap();
-    thread::sleep(Duration::from_millis(100)); // let the accept loop adopt it
-    shutdown.shutdown();
+    // the force-close at the deadline this would block shutdown forever.
+    let mut idle = TcpStream::connect(&server.addr).unwrap();
+    thread::sleep(Duration::from_millis(100)); // let the loop adopt it
     let started = Instant::now();
-    let summary = join.join().unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    thread::spawn(move || done_tx.send(server.stop()).unwrap());
+    let summary = done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("drain still blocked 5 s after shutdown, deadline was 200ms");
+    let took = started.elapsed();
     assert!(
-        started.elapsed() < Duration::from_secs(5),
-        "drain took {:?}, deadline was 200ms",
-        started.elapsed()
+        took >= deadline,
+        "drain took {took:?}, deadline was {deadline:?}"
     );
     assert_eq!(summary.accepted, 1);
-    drop(idle);
+    // The peer sees its connection closed, not a hang.
+    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    match idle.read(&mut [0u8; 1]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("idle peer not closed at the deadline: {other:?}"),
+    }
 }
 
 proptest! {
