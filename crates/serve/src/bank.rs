@@ -6,10 +6,12 @@
 //! phase loads everything from disk instead of re-simulating.
 //! Serialisation uses the sectioned [`codec`](crate::codec) container
 //! (one type-tagged, independently checksummed section per artifact;
-//! unknown sections are skipped); legacy v1 monolithic and v2 sectioned
-//! banks still load. Every structural invariant is re-checked on load
-//! before any panicking constructor runs, so a hostile or corrupt file
-//! yields a [`CodecError`], never a panic.
+//! unknown sections are skipped). Banks are written and served in format
+//! v3 only; [`TrajectoryBank::from_bytes`] also decodes format v2, which
+//! is what lets `ftd reencode` convert old banks. Every structural
+//! invariant is re-checked on load before any panicking constructor
+//! runs, so a hostile or corrupt file yields a [`CodecError`], never a
+//! panic.
 //!
 //! ## Trajectory section payload, format v3 (zero-copy viewable)
 //!
@@ -38,7 +40,7 @@
 //! v3 shard decodes nothing (O(header + n_traj)), and the deviation and
 //! coordinate data the index streams over are the mapped file pages
 //! themselves. v2 banks carry the older length-prefixed trajectory
-//! payload and decode eagerly on open.
+//! payload, which only the heap decoder reads.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -55,8 +57,7 @@ use ft_faults::{
 use ft_numerics::{FrequencyGrid, Spacing};
 
 use crate::codec::{
-    peek_version, CodecError, Container, ContainerBuilder, Decoder, Encoder, SectionEntry,
-    SectionTable, BANK_VERSION, BANK_VERSION_V1, BANK_VERSION_V2, HEADER_LEN_V2,
+    CodecError, ContainerBuilder, Decoder, Encoder, SectionTable, BANK_VERSION, HEADER_LEN,
     SECTION_DICTIONARY, SECTION_ENTRY_LEN, SECTION_MULTIFAULT, SECTION_TRAJECTORIES,
 };
 use crate::mmap::{FileGen, Mmap};
@@ -158,7 +159,7 @@ impl TrajectoryBank {
         // (dictionary + trajectories + optional multifault), and the
         // dictionary payload.
         let n_sections = 2 + usize::from(self.multifault.is_some());
-        let traj_offset = HEADER_LEN_V2 + n_sections * SECTION_ENTRY_LEN + dict_payload.len();
+        let traj_offset = HEADER_LEN + n_sections * SECTION_ENTRY_LEN + dict_payload.len();
         let mut builder = ContainerBuilder::new();
         builder.push_section(SECTION_DICTIONARY, dict_payload);
         builder.push_section(
@@ -171,94 +172,48 @@ impl TrajectoryBank {
         builder.finish()
     }
 
-    /// Serialises the bank as a **v2** sectioned container — the same
-    /// framing as v3, but with the older length-prefixed trajectory
-    /// payload that readers must decode eagerly. Kept for compatibility
-    /// tests and `ftd build-bank --format 2`.
-    pub fn to_bytes_v2(&self) -> Vec<u8> {
-        let mut builder = ContainerBuilder::with_version(BANK_VERSION_V2);
-        builder.push_section(SECTION_DICTIONARY, encode_dictionary(&self.dict));
-        builder.push_section(SECTION_TRAJECTORIES, encode_trajectory_set(&self.set));
-        if let Some(mfd) = &self.multifault {
-            builder.push_section(SECTION_MULTIFAULT, encode_multifault(mfd));
-        }
-        builder.finish()
-    }
-
-    /// Serialises the bank as a legacy **v1** monolithic container —
-    /// the format every pre-v2 reader understands. A v1 container has no
-    /// sections, so an attached multi-fault dictionary is *not*
-    /// representable and is omitted. Kept for compatibility tests and
-    /// for interoperating with old tooling.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        encode_dictionary_into(&mut enc, &self.dict);
-        encode_trajectory_set_into(&mut enc, &self.set);
-        enc.finish()
-    }
-
     /// Deserialises a bank, verifying the container header, checksums,
-    /// and every structural invariant of the decoded data. All format
-    /// versions load: v1 monolithic payloads and v2/v3 sectioned
-    /// containers (whose unknown sections are skipped, and whose
-    /// optional multi-fault section is decoded when present).
+    /// and every structural invariant of the decoded data. Reads format
+    /// v3 and the previous format v2 (whose trajectory payload is
+    /// length-prefixed); unknown sections are skipped, and the optional
+    /// multi-fault section is decoded when present.
     ///
     /// # Errors
     ///
-    /// Any corruption or inconsistency yields a [`CodecError`]; v2/v3
-    /// corruption is attributed to the section it hit.
+    /// Any corruption or inconsistency yields a [`CodecError`],
+    /// attributed to the section it hit.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        match peek_version(bytes)? {
-            BANK_VERSION_V1 => {
-                // Legacy monolithic payload: dictionary fields then
-                // trajectory fields, one whole-payload checksum.
-                let mut dec = Decoder::open(bytes)?;
-                let dict = decode_dictionary(&mut dec)?;
-                let set = decode_trajectory_set(&mut dec)?;
+        let table = SectionTable::parse(bytes)?;
+        let mut dec = Decoder::over(table.require(bytes, SECTION_DICTIONARY)?);
+        let dict = decode_dictionary(&mut dec)?;
+        dec.finish()?;
+        let traj_payload = table.require(bytes, SECTION_TRAJECTORIES)?;
+        let set = if table.version() == BANK_VERSION {
+            let offset = table
+                .entry(SECTION_TRAJECTORIES)?
+                .expect("require located the section")
+                .offset;
+            decode_trajectory_set_v3(traj_payload, offset)?
+        } else {
+            let mut dec = Decoder::over(traj_payload);
+            let set = decode_trajectory_set(&mut dec)?;
+            dec.finish()?;
+            set
+        };
+        let multifault = match table.find(bytes, SECTION_MULTIFAULT)? {
+            None => None,
+            Some(payload) => {
+                let mut dec = Decoder::over(payload);
+                let mfd = decode_multifault(&mut dec)?;
                 dec.finish()?;
-                Ok(TrajectoryBank {
-                    dict,
-                    set,
-                    multifault: None,
-                })
+                Some(mfd)
             }
-            BANK_VERSION_V2 | BANK_VERSION => {
-                let container = Container::parse(bytes)?;
-                let mut dec = Decoder::over(container.require(SECTION_DICTIONARY)?);
-                let dict = decode_dictionary(&mut dec)?;
-                dec.finish()?;
-                let traj_payload = container.require(SECTION_TRAJECTORIES)?;
-                let set = if container.version() == BANK_VERSION {
-                    let offset = container
-                        .sections()
-                        .iter()
-                        .find(|s| s.kind == SECTION_TRAJECTORIES)
-                        .expect("require located the section")
-                        .offset;
-                    decode_trajectory_set_v3(traj_payload, offset)?
-                } else {
-                    let mut dec = Decoder::over(traj_payload);
-                    let set = decode_trajectory_set(&mut dec)?;
-                    dec.finish()?;
-                    set
-                };
-                let multifault = match container.find(SECTION_MULTIFAULT)? {
-                    None => None,
-                    Some(payload) => {
-                        let mut dec = Decoder::over(payload);
-                        let mfd = decode_multifault(&mut dec)?;
-                        dec.finish()?;
-                        Some(mfd)
-                    }
-                };
-                Ok(TrajectoryBank {
-                    dict,
-                    set,
-                    multifault,
-                })
-            }
-            version => Err(CodecError::UnsupportedVersion(version)),
-        }
+        };
+        Ok(TrajectoryBank {
+            dict,
+            set,
+            multifault,
+        })
     }
 
     /// Writes the bank to a file.
@@ -287,21 +242,6 @@ impl TrajectoryBank {
     }
 }
 
-/// How a [`MappedBank`] reaches its undecoded sections.
-#[derive(Debug)]
-enum MappedPayload {
-    /// A sectioned (v2/v3) container: the mapping and its validated
-    /// section table stay resident, and sections decode lazily out of
-    /// the mapped bytes on first touch. The mapping is behind an `Arc`
-    /// because a v3 trajectory set borrows it as packed storage.
-    Sectioned { map: Arc<Mmap>, table: SectionTable },
-    /// A v1 monolithic container: the whole payload shares one
-    /// checksum, so nothing can be verified lazily — everything decodes
-    /// at open and the lazy cells are pre-populated. The mapping is
-    /// dropped (nothing left to read from it).
-    Legacy,
-}
-
 /// A lazily decoded section: empty until first touch, then caching the
 /// decode result; clearable by section-granular eviction, after which
 /// the next touch decodes again from the mapped bytes.
@@ -310,16 +250,15 @@ type SectionCell<T> = Mutex<Option<Result<T, Arc<CodecError>>>>;
 /// A trajectory bank opened zero-copy over a memory-mapped shard file.
 ///
 /// Unlike [`TrajectoryBank::load`], opening verifies only the container
-/// header and section table eagerly. On a **v3** shard the trajectory
-/// section is not decoded at all: its aligned regions are viewed in
-/// place ([`PackedTrajectories`]), making open O(header + trajectory
-/// count) regardless of payload size — callers that serve from the set
-/// run [`MappedBank::verify_trajectory_payload`] plus
-/// [`TrajectorySet::validate_deep`] once before trusting the bytes. On
-/// a v2 shard the trajectory section decodes eagerly (FNV checked at
-/// open), as before. Either way the dictionary and multi-fault sections
-/// stay untouched mapped bytes: neither read, checksummed, nor decoded
-/// until [`dictionary`](MappedBank::dictionary) /
+/// header and section table eagerly, and accepts format v3 only. The
+/// trajectory section is not decoded at all: its aligned regions are
+/// viewed in place ([`PackedTrajectories`]), making open O(header +
+/// trajectory count) regardless of payload size — callers that serve
+/// from the set run [`MappedBank::verify_trajectory_payload`] plus
+/// [`TrajectorySet::validate_deep`] once before trusting the bytes. The
+/// dictionary and multi-fault sections stay untouched mapped bytes:
+/// neither read, checksummed, nor decoded until
+/// [`dictionary`](MappedBank::dictionary) /
 /// [`multifault_dictionary`](MappedBank::multifault_dictionary) is
 /// called — and their decoded forms can be dropped again with
 /// [`evict_decoded`](MappedBank::evict_decoded) while the trajectory
@@ -330,7 +269,10 @@ type SectionCell<T> = Mutex<Option<Result<T, Arc<CodecError>>>>;
 /// one copy.
 #[derive(Debug)]
 pub struct MappedBank {
-    payload: MappedPayload,
+    /// Behind an `Arc` because the packed trajectory set borrows the
+    /// mapping as its storage.
+    map: Arc<Mmap>,
+    table: SectionTable,
     path: PathBuf,
     generation: FileGen,
     dict: SectionCell<Arc<FaultDictionary>>,
@@ -340,15 +282,15 @@ pub struct MappedBank {
 
 impl MappedBank {
     /// Maps `path` and opens it as a bank, returning the mapped handle
-    /// and the trajectory set (packed/zero-copy for v3, decoded for
-    /// v2). v1 monolithic shards open too (fully decoded — see
-    /// [`MappedPayload::Legacy`]).
+    /// and the trajectory set (packed, zero-copy).
     ///
     /// # Errors
     ///
-    /// I/O and mapping failures, header/table validation failures, and
-    /// any structural violation of the trajectory section, annotated
-    /// with `path`. v3 trajectory *content* corruption is deferred to
+    /// I/O and mapping failures, header/table validation failures, a
+    /// format other than v3 ([`CodecError::UnsupportedVersion`], whose
+    /// message names `ftd reencode`), and any structural violation of
+    /// the trajectory section, annotated with `path`. Trajectory
+    /// *content* corruption is deferred to
     /// [`verify_trajectory_payload`](MappedBank::verify_trajectory_payload)
     /// (open never reads the payload regions); corruption confined to
     /// the other sections is deferred to their accessors.
@@ -358,116 +300,73 @@ impl MappedBank {
     }
 
     fn open_inner(path: &Path) -> Result<(MappedBank, TrajectorySet), CodecError> {
-        let map = Mmap::map(path)?;
+        let map = Arc::new(Mmap::map(path)?);
         let generation = map.generation();
-        match peek_version(map.bytes())? {
-            BANK_VERSION_V1 => {
-                let TrajectoryBank {
-                    dict,
-                    set,
-                    multifault,
-                } = TrajectoryBank::from_bytes(map.bytes())?;
-                Ok((
-                    MappedBank {
-                        payload: MappedPayload::Legacy,
-                        path: path.to_path_buf(),
-                        generation,
-                        dict: Mutex::new(Some(Ok(Arc::new(dict)))),
-                        multifault: Mutex::new(Some(Ok(multifault.map(Arc::new)))),
-                        decode_events: None,
-                    },
-                    set,
-                ))
-            }
-            BANK_VERSION_V2 => {
-                let table = SectionTable::parse(map.bytes())?;
-                let mut dec = Decoder::over(table.require(map.bytes(), SECTION_TRAJECTORIES)?);
-                let set = decode_trajectory_set(&mut dec)?;
-                dec.finish()?;
-                Ok((
-                    MappedBank {
-                        payload: MappedPayload::Sectioned {
-                            map: Arc::new(map),
-                            table,
-                        },
-                        path: path.to_path_buf(),
-                        generation,
-                        dict: Mutex::new(None),
-                        multifault: Mutex::new(None),
-                        decode_events: None,
-                    },
-                    set,
-                ))
-            }
-            BANK_VERSION => {
-                let map = Arc::new(map);
-                let table = SectionTable::parse(map.bytes())?;
-                // Locate the trajectory section *without* checksumming
-                // its payload — the whole point of the v3 open is that
-                // no payload byte is read.
-                let entry = *unique_entry(&table, SECTION_TRAJECTORIES)?;
-                let payload = entry.payload(map.bytes());
-                let layout = parse_v3_trajectory_payload(payload, entry.offset)?;
-                let tv = TestVector::new(layout.omegas.clone());
-                let packed = if layout.aligned {
-                    PackedTrajectories::new(
-                        Arc::<Mmap>::clone(&map) as Arc<dyn AsRef<[u8]> + Send + Sync>,
-                        layout.components,
-                        layout.point_offsets,
-                        entry.offset + layout.devs_off,
-                        entry.offset + layout.coords_off,
-                        layout.dim,
-                    )
-                    .ok()
-                } else {
-                    // Sections were shifted after encoding (spliced
-                    // container): the regions no longer sit on 8-byte
-                    // file offsets, so no in-place view exists.
-                    None
-                };
-                let set = match packed {
-                    Some(packed) => TrajectorySet::from_packed(tv, packed),
-                    // Misaligned container, big-endian host, or the
-                    // non-unix heap fallback handing out an unaligned
-                    // buffer: decode owned trajectories instead —
-                    // correct, just not zero-copy.
-                    None => decode_trajectory_set_v3(payload, entry.offset)?,
-                };
-                Ok((
-                    MappedBank {
-                        payload: MappedPayload::Sectioned { map, table },
-                        path: path.to_path_buf(),
-                        generation,
-                        dict: Mutex::new(None),
-                        multifault: Mutex::new(None),
-                        decode_events: None,
-                    },
-                    set,
-                ))
-            }
-            version => Err(CodecError::UnsupportedVersion(version)),
+        let table = SectionTable::parse(map.bytes())?;
+        if table.version() != BANK_VERSION {
+            return Err(CodecError::UnsupportedVersion(table.version()));
         }
+        // Locate the trajectory section *without* checksumming its
+        // payload — the whole point of the v3 open is that no payload
+        // byte is read.
+        let entry = *table
+            .entry(SECTION_TRAJECTORIES)?
+            .ok_or(CodecError::MissingSection(SECTION_TRAJECTORIES))?;
+        let payload = entry.payload(map.bytes());
+        let layout = parse_v3_trajectory_payload(payload, entry.offset)?;
+        let tv = TestVector::new(layout.omegas.clone());
+        let packed = if layout.aligned {
+            PackedTrajectories::new(
+                Arc::<Mmap>::clone(&map) as Arc<dyn AsRef<[u8]> + Send + Sync>,
+                layout.components,
+                layout.point_offsets,
+                entry.offset + layout.devs_off,
+                entry.offset + layout.coords_off,
+                layout.dim,
+            )
+            .ok()
+        } else {
+            // Sections were shifted after encoding (spliced container):
+            // the regions no longer sit on 8-byte file offsets, so no
+            // in-place view exists.
+            None
+        };
+        let set = match packed {
+            Some(packed) => TrajectorySet::from_packed(tv, packed),
+            // Misaligned container, big-endian host, or the non-unix
+            // heap fallback handing out an unaligned buffer: decode
+            // owned trajectories instead — correct, just not zero-copy.
+            None => decode_trajectory_set_v3(payload, entry.offset)?,
+        };
+        Ok((
+            MappedBank {
+                map,
+                table,
+                path: path.to_path_buf(),
+                generation,
+                dict: Mutex::new(None),
+                multifault: Mutex::new(None),
+                decode_events: None,
+            },
+            set,
+        ))
     }
 
     /// Verifies the stored FNV checksum of the trajectory section — the
-    /// payload read a v3 open deliberately skips. Serving paths call
-    /// this once at engine load, so a corrupt shard is still rejected
-    /// before any diagnosis reads its bytes, while `open` itself stays
-    /// O(header). No-op for v1/v2 shards (their trajectory payloads
-    /// were verified during open).
+    /// payload a v3 open deliberately skips. Serving paths call this
+    /// once at engine load, so a corrupt shard is still rejected before
+    /// any diagnosis reads its bytes, while `open` itself stays
+    /// O(header).
     ///
     /// # Errors
     ///
     /// [`CodecError::SectionChecksumMismatch`] attributed to the
     /// trajectory section, annotated with the shard path.
     pub fn verify_trajectory_payload(&self) -> Result<(), CodecError> {
-        match &self.payload {
-            MappedPayload::Sectioned { map, table } => table
-                .require(map.bytes(), SECTION_TRAJECTORIES)
-                .map(|_| ())
-                .map_err(|e| e.in_file(&self.path)),
-            MappedPayload::Legacy => Ok(()),
-        }
+        self.table
+            .require(self.map.bytes(), SECTION_TRAJECTORIES)
+            .map(|_| ())
+            .map_err(|e| e.in_file(&self.path))
     }
 
     /// The single-fault dictionary, decoded (and checksum-verified) out
@@ -514,12 +413,8 @@ impl MappedBank {
     /// sections), returning the estimated bytes freed — the
     /// section-granular eviction primitive. The trajectory view keeps
     /// serving untouched; a later accessor call simply decodes again
-    /// from the mapped bytes. Legacy v1 shards free nothing (their
-    /// decodes are the only copy of the data).
+    /// from the mapped bytes.
     pub fn evict_decoded(&self) -> u64 {
-        let MappedPayload::Sectioned { table, .. } = &self.payload else {
-            return 0;
-        };
         let mut freed = 0u64;
         if self
             .dict
@@ -528,11 +423,11 @@ impl MappedBank {
             .take()
             .is_some()
         {
-            freed += section_len(table, SECTION_DICTIONARY);
+            freed += self.section_len(SECTION_DICTIONARY);
         }
         if let Some(prev) = self.multifault.lock().expect("multifault cell lock").take() {
             if matches!(prev, Ok(Some(_))) {
-                freed += section_len(table, SECTION_MULTIFAULT);
+                freed += self.section_len(SECTION_MULTIFAULT);
             }
         }
         freed
@@ -542,36 +437,26 @@ impl MappedBank {
     /// itself: the trajectory section (always live — packed view or
     /// decoded set) plus each cold section whose decode is cached. The
     /// store's memory budget accounts with this, so evicting a decode
-    /// immediately relieves pressure. Legacy v1 shards are accounted at
-    /// whole-file length (everything decoded, nothing evictable).
+    /// immediately relieves pressure.
     pub fn resident_bytes(&self) -> u64 {
-        match &self.payload {
-            MappedPayload::Sectioned { table, .. } => {
-                let mut total = section_len(table, SECTION_TRAJECTORIES);
-                if self.dict.lock().expect("dictionary cell lock").is_some() {
-                    total += section_len(table, SECTION_DICTIONARY);
-                }
-                if matches!(
-                    &*self.multifault.lock().expect("multifault cell lock"),
-                    Some(Ok(Some(_)))
-                ) {
-                    total += section_len(table, SECTION_MULTIFAULT);
-                }
-                total
-            }
-            MappedPayload::Legacy => self.generation.len(),
+        let mut total = self.section_len(SECTION_TRAJECTORIES);
+        if self.dict.lock().expect("dictionary cell lock").is_some() {
+            total += self.section_len(SECTION_DICTIONARY);
         }
+        if matches!(
+            &*self.multifault.lock().expect("multifault cell lock"),
+            Some(Ok(Some(_)))
+        ) {
+            total += self.section_len(SECTION_MULTIFAULT);
+        }
+        total
     }
 
     /// Per-section residency rows `(kind, payload_bytes, resident)`:
     /// `resident` is `true` for the trajectory section (always live)
-    /// and for cold sections whose decode is currently cached. Empty
-    /// for legacy v1 shards.
+    /// and for cold sections whose decode is currently cached.
     pub fn section_residency(&self) -> Vec<(u16, u64, bool)> {
-        let MappedPayload::Sectioned { table, .. } = &self.payload else {
-            return Vec::new();
-        };
-        table
+        self.table
             .entries()
             .iter()
             .map(|e| {
@@ -601,17 +486,14 @@ impl MappedBank {
         kind: u16,
         decode: fn(&mut Decoder) -> Result<T, CodecError>,
     ) -> Result<Option<T>, Arc<CodecError>> {
-        let MappedPayload::Sectioned { map, table } = &self.payload else {
-            unreachable!("legacy cells are pre-populated at open");
-        };
         if let Some(counter) = &self.decode_events {
             counter.inc();
         }
         let run = || -> Result<Option<T>, CodecError> {
             let Some(payload) = (if kind == SECTION_DICTIONARY {
-                Some(table.require(map.bytes(), kind)?)
+                Some(self.table.require(self.map.bytes(), kind)?)
             } else {
-                table.find(map.bytes(), kind)?
+                self.table.find(self.map.bytes(), kind)?
             }) else {
                 return Ok(None);
             };
@@ -634,75 +516,46 @@ impl MappedBank {
     }
 
     /// Estimated resident bytes this shard can pin: the section-table
-    /// payload total for a sectioned shard, the file length for a fully
-    /// decoded legacy one. This is what the store's memory budget
-    /// accounts with.
+    /// payload total. This is what the store's memory budget accounts
+    /// with.
     pub fn payload_bytes(&self) -> u64 {
-        match &self.payload {
-            MappedPayload::Sectioned { table, .. } => table.payload_bytes(),
-            MappedPayload::Legacy => self.generation.len(),
-        }
+        self.table.payload_bytes()
     }
 
-    /// Per-section `(kind, payload_bytes)` rows of a sectioned shard —
-    /// the breakdown of [`payload_bytes`](MappedBank::payload_bytes)
-    /// the store's eviction budget accounts with. Empty for legacy v1
-    /// shards, which are accounted at whole-file length.
+    /// Per-section `(kind, payload_bytes)` rows — the breakdown of
+    /// [`payload_bytes`](MappedBank::payload_bytes) the store's eviction
+    /// budget accounts with.
     pub fn section_sizes(&self) -> Vec<(u16, u64)> {
-        match &self.payload {
-            MappedPayload::Sectioned { table, .. } => table
-                .entries()
-                .iter()
-                .map(|e| (e.kind, e.len as u64))
-                .collect(),
-            MappedPayload::Legacy => Vec::new(),
-        }
+        self.table
+            .entries()
+            .iter()
+            .map(|e| (e.kind, e.len as u64))
+            .collect()
     }
 
     /// `true` when the undecoded sections are backed by a genuine
-    /// kernel mapping (zero-copy); `false` for legacy shards and the
-    /// non-unix heap fallback.
+    /// kernel mapping (zero-copy); `false` for the non-unix heap
+    /// fallback.
     pub fn is_mapped(&self) -> bool {
-        match &self.payload {
-            MappedPayload::Sectioned { map, .. } => map.is_mapped(),
-            MappedPayload::Legacy => false,
-        }
+        self.map.is_mapped()
     }
-}
 
-/// The unique section entry of type `kind`, located structurally (no
-/// payload checksum) — the lookup a v3 O(header) open uses.
-fn unique_entry(table: &SectionTable, kind: u16) -> Result<&SectionEntry, CodecError> {
-    let mut found: Option<&SectionEntry> = None;
-    for e in table.entries() {
-        if e.kind == kind {
-            if found.is_some() {
-                return Err(CodecError::Malformed(format!(
-                    "duplicate section {kind} ({})",
-                    crate::codec::section_name(kind)
-                )));
-            }
-            found = Some(e);
-        }
+    /// Declared payload length of section `kind`, or 0 when absent (or
+    /// duplicated, which its decode reports).
+    fn section_len(&self, kind: u16) -> u64 {
+        self.table
+            .entry(kind)
+            .ok()
+            .flatten()
+            .map_or(0, |e| e.len as u64)
     }
-    found.ok_or(CodecError::MissingSection(kind))
-}
-
-/// Declared payload length of section `kind`, or 0 when absent.
-fn section_len(table: &SectionTable, kind: u16) -> u64 {
-    table
-        .entries()
-        .iter()
-        .find(|e| e.kind == kind)
-        .map_or(0, |e| e.len as u64)
 }
 
 // --- section payload encoders/decoders ------------------------------
 //
-// Each artifact has a symmetric `encode_*`/`decode_*` pair over bare
-// payload bytes; the v1 path concatenates the dictionary and trajectory
-// payloads into one monolithic container, the v2 path gives each its own
-// checksummed section.
+// Each artifact has an `encode_*`/`decode_*` pair over the bare payload
+// bytes of its own checksummed section. The trajectory section has a v3
+// encoder and two decoders: v3 and the previous length-prefixed v2.
 
 fn encode_grid_into(enc: &mut Encoder, grid: &FrequencyGrid) {
     enc.put_u8(match grid.spacing() {
@@ -772,11 +625,12 @@ fn decode_response(dec: &mut Decoder, grid_len: usize, what: &str) -> Result<Vec
     Ok(xs)
 }
 
-fn encode_dictionary_into(enc: &mut Encoder, dict: &FaultDictionary) {
-    encode_grid_into(enc, dict.grid());
+fn encode_dictionary(dict: &FaultDictionary) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    encode_grid_into(&mut enc, dict.grid());
     enc.put_f64s(dict.golden_db());
     enc.put_str(dict.input());
-    encode_probe_into(enc, dict.probe());
+    encode_probe_into(&mut enc, dict.probe());
     let universe = dict.universe();
     enc.put_u32(universe.components().len() as u32);
     for comp in universe.components() {
@@ -791,11 +645,6 @@ fn encode_dictionary_into(enc: &mut Encoder, dict: &FaultDictionary) {
     for entry in dict.entries() {
         enc.put_f64s(entry.magnitude_db());
     }
-}
-
-fn encode_dictionary(dict: &FaultDictionary) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    encode_dictionary_into(&mut enc, dict);
     enc.into_payload()
 }
 
@@ -845,27 +694,7 @@ fn decode_dictionary(dec: &mut Decoder) -> Result<FaultDictionary, CodecError> {
     ))
 }
 
-fn encode_trajectory_set_into(enc: &mut Encoder, set: &TrajectorySet) {
-    enc.put_f64s(set.test_vector().omegas());
-    enc.put_u32(set.len() as u32);
-    for t in set.trajectories() {
-        enc.put_str(t.component());
-        enc.put_f64s(t.deviations_pct());
-        enc.put_u32(t.dim() as u32);
-        for p in t.points() {
-            for &x in p.coords() {
-                enc.put_f64(x);
-            }
-        }
-    }
-}
-
-fn encode_trajectory_set(set: &TrajectorySet) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    encode_trajectory_set_into(&mut enc, set);
-    enc.into_payload()
-}
-
+/// Decodes the previous (v2) length-prefixed trajectory payload.
 fn decode_trajectory_set(dec: &mut Decoder) -> Result<TrajectorySet, CodecError> {
     let omegas = dec.get_f64s()?;
     ensure(!omegas.is_empty(), "test vector is empty")?;
@@ -1309,29 +1138,6 @@ mod tests {
         assert!(err.to_string().contains("/nonexistent/bank.ftb"));
     }
 
-    #[test]
-    fn v1_container_still_loads() {
-        // A bank written by the legacy monolithic writer decodes under
-        // the v2 reader, bit-for-bit equal apart from the (absent)
-        // multi-fault dictionary.
-        let bank = rc_bank();
-        let v1 = bank.to_bytes_v1();
-        assert_eq!(crate::codec::peek_version(&v1).unwrap(), BANK_VERSION_V1);
-        let back = TrajectoryBank::from_bytes(&v1).unwrap();
-        assert_eq!(bank, back);
-        // The v1 writer is deterministic too.
-        assert_eq!(v1, back.to_bytes_v1());
-        // And single-byte corruption of a v1 container is still caught.
-        for pos in (0..v1.len()).step_by(101).chain([0, 9, 17, 25]) {
-            let mut corrupt = v1.clone();
-            corrupt[pos] ^= 0x01;
-            assert!(
-                TrajectoryBank::from_bytes(&corrupt).is_err(),
-                "v1 flip at byte {pos} went undetected"
-            );
-        }
-    }
-
     fn rc_multifault() -> MultiFaultDictionary {
         let mut ckt = ft_circuit::Circuit::new("rc");
         ckt.voltage_source("V1", "in", "0", 1.0).unwrap();
@@ -1403,29 +1209,10 @@ mod tests {
     }
 
     #[test]
-    fn mapped_open_decodes_legacy_v1_eagerly() {
-        let bank = rc_bank();
-        let path = std::env::temp_dir().join("ft_serve_mapped_v1_test.ftb");
-        std::fs::write(&path, bank.to_bytes_v1()).unwrap();
-        let (mapped, set) = MappedBank::open(&path).unwrap();
-        assert_eq!(&set, bank.trajectory_set());
-        assert_eq!(&*mapped.dictionary().unwrap(), bank.dictionary());
-        assert_eq!(mapped.multifault_dictionary().unwrap(), None);
-        assert!(!mapped.is_mapped(), "v1 has no lazily mapped sections");
-        assert_eq!(
-            mapped.payload_bytes(),
-            std::fs::metadata(&path).unwrap().len()
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn mapped_corruption_outside_trajectories_is_deferred_and_attributed() {
         let bank = rc_bank().with_multifault(rc_multifault());
         let bytes = bank.to_bytes();
-        let container = Container::parse(&bytes).unwrap();
-        let dict_off = container.sections()[0].offset;
-        drop(container);
+        let dict_off = SectionTable::parse(&bytes).unwrap().entries()[0].offset;
         let mut corrupt = bytes;
         corrupt[dict_off] ^= 0x01;
 
@@ -1449,36 +1236,16 @@ mod tests {
     }
 
     #[test]
-    fn mapped_v2_corruption_in_trajectories_fails_open() {
-        // v2 decodes the trajectory section eagerly, so its FNV is
-        // checked at open and corruption is fatal there.
-        let bank = rc_bank();
-        let bytes = bank.to_bytes_v2();
-        let container = Container::parse(&bytes).unwrap();
-        let traj_off = container.sections()[1].offset;
-        drop(container);
-        let mut corrupt = bytes;
-        corrupt[traj_off] ^= 0x01;
-        let path = std::env::temp_dir().join("ft_serve_mapped_traj_corrupt_test.ftb");
-        std::fs::write(&path, &corrupt).unwrap();
-        let err = MappedBank::open(&path).expect_err("trajectory corruption fails open");
-        assert!(err.to_string().contains("trajectories"), "{err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn mapped_v3_region_corruption_is_caught_by_deferred_verification() {
         // A v3 open never reads the deviation/coordinate regions, so a
         // flipped coordinate byte opens fine — and must then be caught
         // by the explicit verification pass engines run before serving.
         let bank = rc_bank();
         let bytes = bank.to_bytes();
-        let container = Container::parse(&bytes).unwrap();
-        let traj = container.sections()[1];
+        let traj = SectionTable::parse(&bytes).unwrap().entries()[1];
         // Last byte of the trajectory payload = deep inside the
         // coordinate region.
-        let hit = traj.offset + traj.payload.len() - 1;
-        drop(container);
+        let hit = traj.offset + traj.len - 1;
         let mut corrupt = bytes;
         corrupt[hit] ^= 0x01;
         let path = std::env::temp_dir().join("ft_serve_mapped_v3_region_corrupt_test.ftb");
@@ -1515,11 +1282,10 @@ mod tests {
         // The checksums are valid (the builder recomputes them), so
         // the data is intact: both readers must fall back to owned
         // decode (no zero-copy view over unaligned bytes, no error).
-        let container = Container::parse(&bytes).unwrap();
-        let traj = container.sections()[1];
-        let dict_payload = container.require(SECTION_DICTIONARY).unwrap().to_vec();
-        drop(container);
-        let layout = parse_v3_trajectory_payload(traj.payload, traj.offset).unwrap();
+        let table = SectionTable::parse(&bytes).unwrap();
+        let traj = table.entries()[1];
+        let dict_payload = table.require(&bytes, SECTION_DICTIONARY).unwrap().to_vec();
+        let layout = parse_v3_trajectory_payload(traj.payload(&bytes), traj.offset).unwrap();
         assert!(layout.aligned, "writer aligns");
         assert_eq!((traj.offset + layout.devs_off) % 8, 0, "writer aligns");
         let skewed = encode_trajectory_set_v3(bank.trajectory_set(), traj.offset + 4);
@@ -1528,9 +1294,8 @@ mod tests {
         b.push_section(SECTION_TRAJECTORIES, skewed);
         let misaligned = b.finish();
         let skewed_layout = {
-            let c = Container::parse(&misaligned).unwrap();
-            let t = c.sections()[1];
-            parse_v3_trajectory_payload(t.payload, t.offset).unwrap()
+            let t = SectionTable::parse(&misaligned).unwrap().entries()[1];
+            parse_v3_trajectory_payload(t.payload(&misaligned), t.offset).unwrap()
         };
         assert!(!skewed_layout.aligned, "skew must defeat the padding");
         std::fs::write(&path, &misaligned).unwrap();
@@ -1550,17 +1315,17 @@ mod tests {
         // it hit by the heap loader.
         let bank = rc_bank().with_multifault(rc_multifault());
         let bytes = bank.to_bytes();
-        let container = Container::parse(&bytes).unwrap();
+        let table = SectionTable::parse(&bytes).unwrap();
+        let sections = table.entries();
         let hits: Vec<(usize, &str)> = vec![
-            (container.sections()[0].offset, "dictionary"),
+            (sections[0].offset, "dictionary"),
             (
                 // Mid-payload: inside the trajectory f64 regions.
-                container.sections()[1].offset + container.sections()[1].payload.len() / 2,
+                sections[1].offset + sections[1].len / 2,
                 "trajectories",
             ),
-            (container.sections()[2].offset, "multifault"),
+            (sections[2].offset, "multifault"),
         ];
-        drop(container);
         for (pos, name) in hits {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0x01;
@@ -1573,20 +1338,51 @@ mod tests {
         }
     }
 
+    const Q1_V2: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/q1_v2.ftb");
+    const Q1_V3: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/q1_v3.ftb");
+
     #[test]
-    fn v3_round_trip_and_reencode_from_v2_are_identical() {
-        let bank = rc_bank().with_multifault(rc_multifault());
-        // v3 round trip is the identity.
-        let v3 = bank.to_bytes();
-        let back = TrajectoryBank::from_bytes(&v3).unwrap();
-        assert_eq!(bank, back);
-        assert_eq!(v3, back.to_bytes(), "v3 encoding is deterministic");
-        // v2 → decode → v3 re-encode equals direct v3 encode.
-        let v2 = bank.to_bytes_v2();
-        assert_ne!(v2, v3);
-        let via_v2 = TrajectoryBank::from_bytes(&v2).unwrap();
-        assert_eq!(bank, via_v2);
-        assert_eq!(via_v2.to_bytes(), v3, "re-encode is byte-identical");
+    fn v2_fixture_reencodes_to_the_v3_fixture_byte_identically() {
+        // Both fixtures were written by the same `ftd build-bank
+        // --grid-points 21` run, once per format. Re-encoding the v2 one
+        // must reproduce the committed v3 bytes exactly, which pins both
+        // v2 readability and the v3 layout against accidental change.
+        let v2 = std::fs::read(Q1_V2).unwrap();
+        let v3 = std::fs::read(Q1_V3).unwrap();
+        let from_v2 = TrajectoryBank::from_bytes(&v2).unwrap();
+        let from_v3 = TrajectoryBank::from_bytes(&v3).unwrap();
+        assert_eq!(from_v2, from_v3);
+        assert_eq!(from_v2.to_bytes(), v3, "v2 -> v3 re-encode drifted");
+        assert_eq!(from_v3.to_bytes(), v3, "v3 layout drifted");
+    }
+
+    #[test]
+    fn mapped_open_refuses_v2_and_names_reencode() {
+        let err = MappedBank::open(Q1_V2).expect_err("v2 is not served");
+        assert!(
+            matches!(&err, CodecError::InFile { source, .. }
+                if matches!(**source, CodecError::UnsupportedVersion(2))),
+            "{err:?}"
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("ftd reencode"), "{msg}");
+        assert!(msg.contains("q1_v2.ftb"), "{msg}");
+        // The v3 fixture serves zero-copy.
+        let (mapped, set) = MappedBank::open(Q1_V3).unwrap();
+        assert!(set.is_packed() || !mapped.is_mapped());
+        mapped.verify_trajectory_payload().unwrap();
+
+        // A store over a directory holding the v2 shard reports the same
+        // error for that CUT instead of panicking.
+        let dir = std::env::temp_dir().join("ft_serve_v2_shard_refused_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::copy(Q1_V2, dir.join("q1.ftb")).unwrap();
+        let store =
+            crate::store::BankStore::open(&dir, crate::engine::EngineConfig::default()).unwrap();
+        let req = crate::store::DiagnosisRequest::new("q1", Signature::new(vec![0.0; set.dim()]));
+        let err = store.diagnose(&req).expect_err("v2 shard must not serve");
+        assert!(err.to_string().contains("ftd reencode"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1631,37 +1427,46 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Encodes a minimal single-component bank by hand, letting tests
-    /// inject hostile field values the public API can never produce.
+    /// Encodes a minimal single-component v2 bank by hand, letting
+    /// tests inject hostile field values the public API can never
+    /// produce. v2's length-prefixed trajectory payload carries a
+    /// per-trajectory dimension field the v3 layout does not.
     fn hostile_bank(step_pct: f64, traj_dim: u32, coord: f64) -> Vec<u8> {
-        use crate::codec::Encoder;
-        let mut enc = Encoder::new();
-        enc.put_u8(1); // logarithmic spacing
-        enc.put_f64s(&[1.0, 2.0]);
-        enc.put_f64s(&[-3.0, -9.0]); // golden
-        enc.put_str("V1");
-        enc.put_u8(0); // node probe
-        enc.put_str("out");
-        enc.put_u32(1); // one component
-        enc.put_str("R1");
-        enc.put_f64(40.0); // max_pct
-        enc.put_f64(step_pct);
+        let mut dict = Encoder::new();
+        dict.put_u8(1); // logarithmic spacing
+        dict.put_f64s(&[1.0, 2.0]);
+        dict.put_f64s(&[-3.0, -9.0]); // golden
+        dict.put_str("V1");
+        dict.put_u8(0); // node probe
+        dict.put_str("out");
+        dict.put_u32(1); // one component
+        dict.put_str("R1");
+        dict.put_f64(40.0); // max_pct
+        dict.put_f64(step_pct);
         let n_entries = if step_pct == 10.0 { 8 } else { 0 };
-        enc.put_u32(n_entries);
+        dict.put_u32(n_entries);
         for _ in 0..n_entries {
-            enc.put_f64s(&[-2.0, -8.0]);
+            dict.put_f64s(&[-2.0, -8.0]);
         }
-        enc.put_f64s(&[1.0, 2.0]); // test vector
-        enc.put_u32(1); // one trajectory
-        enc.put_str("R1");
-        enc.put_f64s(&[-10.0, 0.0, 10.0]);
-        enc.put_u32(traj_dim);
+        let mut traj = Encoder::new();
+        traj.put_f64s(&[1.0, 2.0]); // test vector
+        traj.put_u32(1); // one trajectory
+        traj.put_str("R1");
+        traj.put_f64s(&[-10.0, 0.0, 10.0]);
+        traj.put_u32(traj_dim);
         if traj_dim == 2 {
             for &c in &[-1.0, -1.0, 0.0, 0.0, coord, 1.0] {
-                enc.put_f64(c);
+                traj.put_f64(c);
             }
         }
-        enc.finish()
+        let mut builder = ContainerBuilder::new();
+        builder.push_section(SECTION_DICTIONARY, dict.into_payload());
+        builder.push_section(SECTION_TRAJECTORIES, traj.into_payload());
+        let mut bytes = builder.finish();
+        // The table checksum covers bytes 10 onward, so the version
+        // field can be patched without re-sealing.
+        bytes[8..10].copy_from_slice(&crate::codec::BANK_VERSION_V2.to_le_bytes());
+        bytes
     }
 
     #[test]
@@ -1674,15 +1479,21 @@ mod tests {
 
     #[test]
     fn hostile_fields_error_instead_of_panicking() {
+        // Every case must get past the container checks and be refused
+        // by the field decoders, never by a checksum.
+        let refused = |bytes: Vec<u8>| match TrajectoryBank::from_bytes(&bytes) {
+            Err(CodecError::Malformed(_) | CodecError::Truncated { .. }) => {}
+            other => panic!("expected a field-level refusal, got {other:?}"),
+        };
         // Implausibly fine deviation grid: must not attempt to
         // enumerate ~10^300 faults.
-        assert!(TrajectoryBank::from_bytes(&hostile_bank(5e-324, 2, 1.0)).is_err());
-        assert!(TrajectoryBank::from_bytes(&hostile_bank(1e-9, 2, 1.0)).is_err());
+        refused(hostile_bank(5e-324, 2, 1.0));
+        refused(hostile_bank(1e-9, 2, 1.0));
         // Declared dimension far beyond the payload: must not allocate.
-        assert!(TrajectoryBank::from_bytes(&hostile_bank(10.0, u32::MAX, 1.0)).is_err());
+        refused(hostile_bank(10.0, u32::MAX, 1.0));
         // Non-finite trajectory coordinate: must not load a bank that
         // would panic the diagnosis path later.
-        assert!(TrajectoryBank::from_bytes(&hostile_bank(10.0, 2, f64::NAN)).is_err());
-        assert!(TrajectoryBank::from_bytes(&hostile_bank(10.0, 2, f64::INFINITY)).is_err());
+        refused(hostile_bank(10.0, 2, f64::NAN));
+        refused(hostile_bank(10.0, 2, f64::INFINITY));
     }
 }

@@ -39,7 +39,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::bank::{MappedBank, TrajectoryBank};
-use crate::codec::{peek_version, Container, BANK_VERSION, BANK_VERSION_V1, BANK_VERSION_V2};
+use crate::codec::{section_name, SectionTable, BANK_VERSION};
 use crate::engine::{diagnose_batch_topk_with, diagnose_batch_with, DiagnosisEngine, EngineConfig};
 use crate::index::SegmentIndex;
 use crate::obs::{MetricsRegistry, Snapshot};
@@ -52,8 +52,7 @@ ftd — fault-trajectory diagnosis engine
 
 USAGE:
   ftd build-bank [--out PATH] [--f1 W] [--f2 W] [--grid-points N] [--q Q]
-                 [--format 2|3]
-  ftd reencode IN OUT [--format 2|3]
+  ftd reencode IN OUT
   ftd diagnose --bank PATH [--fault COMP:PCT]... [--random N]
                [--noise-db S] [--seed N] [--workers N] [--linear | --topk K]
                [--q Q]
@@ -79,15 +78,15 @@ SUBCOMMANDS:
   build-bank           Simulate the Tow-Thomas CUT's fault dictionary on
                        the stamp-split AC sweep engine, materialise the
                        fault trajectories at the test vector {--f1, --f2},
-                       and persist the bank. Deterministic: repeated runs
-                       are byte-identical regardless of worker count.
-                       --format picks the container version: 3 (default)
-                       stores trajectories 8-byte-aligned for zero-copy
-                       mapped serving; 2 writes the previous layout.
-  reencode             Decode a bank in any readable format (v1/v2/v3)
-                       and re-persist it in --format (default 3).
-                       Lossless: serving from the output is
-                       byte-identical to serving from the input.
+                       and persist the bank in format v3, whose 8-byte-
+                       aligned trajectories serve zero-copy from a
+                       memory map. Deterministic: repeated runs are
+                       byte-identical regardless of worker count.
+  reencode             Decode a v2 or v3 bank and re-persist it as v3 —
+                       the only format `serve` loads, so this is how a
+                       v2 bank is brought back into service. Lossless:
+                       serving from the output is byte-identical to
+                       diagnosing from the input.
   diagnose             Load a bank, measure signatures for the requested
                        (--fault R2:+25) and/or --random sampled unknown
                        faults on the same CUT, and diagnose them as one
@@ -157,14 +156,15 @@ SUBCOMMANDS:
   gen-requests         Load a bank and print --count deterministic
                        request lines (signatures jittered around the
                        bank's trajectories) tagged with --cut-id.
-  bank-info            Print a bank container's format version, section
+  bank-info            Print a v2 or v3 bank's format version, section
                        table (type, payload bytes, checksum status), and
                        entry counts without serving from it. With
                        --mapped, open through the server's zero-copy
-                       mmap path instead and report per-section payload
-                       bytes and residency: which sections are viewed in
-                       place (v3 trajectories), which decode lazily, and
-                       how many bytes a fresh open pins.
+                       mmap path instead (v3 only, as `serve` does) and
+                       report per-section payload bytes and residency:
+                       trajectories are viewed in place, the other
+                       sections decode lazily, and how many bytes a
+                       fresh open pins.
   stats                Read a --stats-file snapshot and print it as
                        greppable `name value` lines (counters, gauges,
                        histogram count/sum/mean/p50/p90/p99, derived
@@ -335,32 +335,12 @@ fn parse_fault(spec: &str) -> Result<ParametricFault, CliError> {
     Ok(ParametricFault::from_percent(comp, pct))
 }
 
-/// Encodes `bank` in container format `format` (2 or 3, validated by
-/// the caller via [`parse_bank_format`]).
-fn encode_bank(bank: &TrajectoryBank, format: u16) -> Vec<u8> {
-    match format {
-        BANK_VERSION_V2 => bank.to_bytes_v2(),
-        _ => bank.to_bytes(),
-    }
-}
-
-fn parse_bank_format(raw: &str) -> Result<u16, CliError> {
-    match raw {
-        "2" => Ok(BANK_VERSION_V2),
-        "3" => Ok(BANK_VERSION),
-        other => Err(usage(format!(
-            "--format must be 2 or 3, got `{other}` (v1 is read-only legacy)"
-        ))),
-    }
-}
-
 fn build_bank(args: &[String]) -> Result<(), CliError> {
     let mut out = "bank.ftb".to_string();
     let mut f1 = 0.6f64;
     let mut f2 = 1.6f64;
     let mut grid_points = 41usize;
     let mut q = 1.0f64;
-    let mut format = BANK_VERSION;
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next_flag() {
         match flag {
@@ -369,7 +349,6 @@ fn build_bank(args: &[String]) -> Result<(), CliError> {
             "--f2" => f2 = flags.parse("--f2")?,
             "--grid-points" => grid_points = flags.parse("--grid-points")?,
             "--q" => q = flags.parse("--q")?,
-            "--format" => format = parse_bank_format(flags.value("--format")?)?,
             other => return Err(usage(format!("build-bank: unknown flag `{other}`"))),
         }
     }
@@ -387,11 +366,11 @@ fn build_bank(args: &[String]) -> Result<(), CliError> {
     let dict = FaultDictionary::build(&bench.circuit, &universe, &bench.input, &bench.probe, &grid)
         .map_err(runtime)?;
     let bank = TrajectoryBank::build(dict, &TestVector::pair(f1, f2));
-    let bytes = encode_bank(&bank, format);
+    let bytes = bank.to_bytes();
     std::fs::write(&out, &bytes).map_err(runtime)?;
 
     println!(
-        "built bank `{out}` (format v{format}): {} faults x {} grid points, {} trajectories / {} segments at tv {}, {} bytes, {:.2?}",
+        "built bank `{out}` (format v{BANK_VERSION}): {} faults x {} grid points, {} trajectories / {} segments at tv {}, {} bytes, {:.2?}",
         bank.dictionary().entries().len(),
         bank.dictionary().grid().len(),
         bank.trajectory_set().len(),
@@ -403,32 +382,22 @@ fn build_bank(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `ftd reencode IN OUT [--format N]` — decode a bank in any readable
-/// format (v1/v2/v3) and re-persist it in the requested container
-/// format (default: current, v3). Re-encoding is lossless: serving from
-/// the output is byte-identical to serving from the input.
+/// `ftd reencode IN OUT` — decode a v2 or v3 bank and re-persist it as
+/// v3. Re-encoding is lossless: serving from the output is
+/// byte-identical to diagnosing from the input.
 fn reencode(args: &[String]) -> Result<(), CliError> {
-    let mut paths: Vec<&str> = Vec::new();
-    let mut format = BANK_VERSION;
-    let mut flags = Flags::new(args);
-    while let Some(arg) = flags.next_flag() {
-        match arg {
-            "--format" => format = parse_bank_format(flags.value("--format")?)?,
-            other if other.starts_with("--") => {
-                return Err(usage(format!("reencode: unknown flag `{other}`")))
-            }
-            path => paths.push(path),
-        }
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(usage(format!("reencode: unknown flag `{flag}`")));
     }
-    let [input, output] = paths[..] else {
+    let [input, output] = args else {
         return Err(usage("reencode takes IN and OUT paths"));
     };
     let started = Instant::now();
     let bank = TrajectoryBank::load(input).map_err(runtime)?;
-    let bytes = encode_bank(&bank, format);
+    let bytes = bank.to_bytes();
     std::fs::write(output, &bytes).map_err(|e| runtime(format!("{output}: {e}")))?;
     println!(
-        "re-encoded `{input}` -> `{output}` (format v{format}): {} trajectories / {} segments, {} bytes, {:.2?}",
+        "re-encoded `{input}` -> `{output}` (format v{BANK_VERSION}): {} trajectories / {} segments, {} bytes, {:.2?}",
         bank.trajectory_set().len(),
         bank.trajectory_set().total_segments(),
         bytes.len(),
@@ -1173,47 +1142,41 @@ fn bank_info(args: &[String]) -> Result<(), CliError> {
         return bank_info_mapped(path);
     }
     let bytes = std::fs::read(path).map_err(|e| runtime(format!("{path}: {e}")))?;
-    let version = peek_version(&bytes).map_err(runtime)?;
-    println!("bank `{path}`: {} bytes, format v{version}", bytes.len());
-
-    let mut bad_sections = 0usize;
-    match version {
-        BANK_VERSION_V1 => {
-            println!("layout: monolithic payload, whole-payload checksum (legacy)");
-        }
-        BANK_VERSION_V2 | BANK_VERSION => {
-            if version == BANK_VERSION {
-                println!(
-                    "layout: sectioned, 8-byte-aligned trajectory regions (zero-copy viewable)"
-                );
-            } else {
-                println!("layout: sectioned, length-prefixed trajectory payload");
-            }
-            let container = Container::parse(&bytes).map_err(runtime)?;
-            println!("section table ({} sections):", container.sections().len());
-            println!("  type  name          offset  payload_bytes  checksum");
-            let mut payload_total = 0usize;
-            for s in container.sections() {
-                let ok = s.checksum_ok();
-                bad_sections += usize::from(!ok);
-                payload_total += s.payload.len();
-                println!(
-                    "  {:>4}  {:<12} {:>7} {:>13}  {}",
-                    s.kind,
-                    crate::codec::section_name(s.kind),
-                    s.offset,
-                    s.payload.len(),
-                    if ok { "ok" } else { "MISMATCH" },
-                );
-            }
-            println!(
-                "payload: {payload_total} bytes across {} sections, {} bytes of framing",
-                container.sections().len(),
-                bytes.len() - payload_total,
-            );
-        }
-        other => return Err(runtime(format!("unsupported bank format version {other}"))),
+    let table = SectionTable::parse(&bytes).map_err(|e| runtime(e.in_file(path)))?;
+    println!(
+        "bank `{path}`: {} bytes, format v{}",
+        bytes.len(),
+        table.version()
+    );
+    if table.version() == BANK_VERSION {
+        println!("layout: sectioned, 8-byte-aligned trajectory regions (zero-copy viewable)");
+    } else {
+        println!(
+            "layout: sectioned, length-prefixed trajectory payload \
+             (not served; `ftd reencode` converts it to v{BANK_VERSION})"
+        );
     }
+    println!("section table ({} sections):", table.entries().len());
+    println!("  type  name          offset  payload_bytes  checksum");
+    let mut bad_sections = 0usize;
+    for e in table.entries() {
+        let ok = e.checksum_ok(&bytes);
+        bad_sections += usize::from(!ok);
+        println!(
+            "  {:>4}  {:<12} {:>7} {:>13}  {}",
+            e.kind,
+            section_name(e.kind),
+            e.offset,
+            e.len,
+            if ok { "ok" } else { "MISMATCH" },
+        );
+    }
+    println!(
+        "payload: {} bytes across {} sections, {} bytes of framing",
+        table.payload_bytes(),
+        table.entries().len(),
+        bytes.len() as u64 - table.payload_bytes(),
+    );
 
     match TrajectoryBank::from_bytes(&bytes) {
         Ok(bank) => {
@@ -1281,7 +1244,7 @@ fn bank_info_mapped(path: &str) -> Result<(), CliError> {
             println!(
                 "  {:>4}  {:<12} {payload_bytes:>13} payload bytes  {}",
                 kind,
-                crate::codec::section_name(kind),
+                section_name(kind),
                 if resident {
                     "resident"
                 } else {
@@ -1876,59 +1839,33 @@ mod tests {
 
     #[test]
     fn reencode_round_trips_between_formats() {
-        use crate::synthetic::synthetic_circuit_bank;
-        use ft_core::TestVector;
-
+        let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
+        let v2 = format!("{fixtures}/q1_v2.ftb");
+        let v3 = format!("{fixtures}/q1_v3.ftb");
         let dir = std::env::temp_dir().join("ftd_reencode_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let bank = synthetic_circuit_bank(2, 0.5, 7, &TestVector::pair(0.5, 2.0)).unwrap();
-        let v3 = dir.join("v3.ftb");
-        let v2 = dir.join("v2.ftb");
-        let back = dir.join("back.ftb");
-        bank.save(&v3).unwrap();
+        let out = dir.join("out.ftb").display().to_string();
+        let run = |args: &[&str]| main_from_args(args.iter().map(|a| a.to_string()).collect());
 
-        // v3 -> v2 -> v3 through the subcommand, byte-identical.
-        let arg = |p: &std::path::Path| p.display().to_string();
-        assert_eq!(
-            main_from_args(vec![
-                "reencode".into(),
-                arg(&v3),
-                arg(&v2),
-                "--format".into(),
-                "2".into(),
-            ]),
-            0
-        );
-        assert_eq!(
-            main_from_args(vec!["reencode".into(), arg(&v2), arg(&back)]),
-            0
-        );
-        assert_eq!(
-            std::fs::read(&v3).unwrap(),
-            std::fs::read(&back).unwrap(),
-            "v3 -> v2 -> v3 must be the identity"
-        );
-        assert_ne!(std::fs::read(&v3).unwrap(), std::fs::read(&v2).unwrap());
-        // Both render through bank-info, plain and mapped.
-        for p in [&v3, &v2] {
-            assert_eq!(main_from_args(vec!["bank-info".into(), arg(p)]), 0);
+        // v2 -> v3 reproduces the v3 fixture, and v3 -> v3 is the
+        // identity.
+        for input in [&v2, &v3] {
+            assert_eq!(run(&["reencode", input, &out]), 0);
             assert_eq!(
-                main_from_args(vec!["bank-info".into(), "--mapped".into(), arg(p)]),
-                0
+                std::fs::read(&out).unwrap(),
+                std::fs::read(&v3).unwrap(),
+                "reencode of {input} must equal the v3 fixture"
             );
         }
-        // Usage errors: bad --format, missing paths.
-        assert_eq!(
-            main_from_args(vec![
-                "reencode".into(),
-                arg(&v3),
-                arg(&v2),
-                "--format".into(),
-                "1".into(),
-            ]),
-            2
-        );
-        assert_eq!(main_from_args(vec!["reencode".into(), arg(&v3)]), 2);
+        // Both render through bank-info; only v3 opens mapped, as only
+        // v3 serves.
+        assert_eq!(run(&["bank-info", &v2]), 0);
+        assert_eq!(run(&["bank-info", &v3]), 0);
+        assert_eq!(run(&["bank-info", "--mapped", &v3]), 0);
+        assert_eq!(run(&["bank-info", "--mapped", &v2]), 1);
+        // Usage errors: reencode takes no flags, and exactly two paths.
+        assert_eq!(run(&["reencode", &v2, &out, "--bogus"]), 2);
+        assert_eq!(run(&["reencode", &v3]), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2006,7 +1943,7 @@ mod tests {
                 "{flag} must be rejected with --requests"
             );
         }
-        // bank-info on the fresh v2 bank exits 0.
+        // bank-info on the fresh bank exits 0.
         assert_eq!(main_from_args(vec!["bank-info".into(), bank_str]), 0);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -6,12 +6,12 @@
 //! corruption-detecting reader that never trusts a length it has not
 //! bounds-checked.
 //!
-//! ## Container layout, formats v2 and v3 (sectioned)
+//! ## Bank container layout
 //!
 //! ```text
 //! offset    size  field
 //! 0         8     magic  b"FTBANK\r\n"
-//! 8         2     format version (u16 LE) = 2 or 3
+//! 8         2     format version (u16 LE) = 3
 //! 10        4     section count n (u32 LE)
 //! 14        8     FNV-1a 64 checksum of the count (bytes 10..14)
 //!                 concatenated with the table (bytes 22..22+18n)
@@ -29,27 +29,12 @@
 //! The container's total length must equal the header + table + declared
 //! payloads exactly.
 //!
-//! **v3 differs from v2 only inside the trajectory section payload**: it
-//! switches from length-prefixed per-point fields to an 8-byte-aligned,
-//! fixed-stride little-endian layout that a reader can view in place
-//! without decoding (see `bank.rs` for the payload layout). The
-//! container framing above is byte-for-byte the same; [`SectionTable`]
-//! and [`Container`] parse both and report the version they saw so
-//! payload readers can dispatch.
-//!
-//! ## Container layout, format v1 (legacy, monolithic)
-//!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"FTBANK\r\n"
-//! 8       2     format version (u16 LE) = 1
-//! 10      8     payload length in bytes (u64 LE)
-//! 18      8     FNV-1a 64 checksum of the payload (u64 LE)
-//! 26      n     payload (length-prefixed fields, little-endian)
-//! ```
-//!
-//! v1 banks remain loadable: [`peek_version`] dispatches readers between
-//! [`Decoder::open`] (v1) and [`Container::parse`] (v2).
+//! Format v3 is the only one written and served: its trajectory section
+//! is 8-byte aligned so a mapped reader views it in place (see
+//! `bank.rs`). Format v2 has the same framing with a length-prefixed
+//! trajectory payload; [`SectionTable`] still parses it and reports the
+//! version so the heap decoder behind `ftd reencode` can convert old
+//! banks to v3. Format v1 (monolithic, pre-sections) is no longer read.
 //!
 //! Within any payload every variable-length field carries a `u32 LE`
 //! count prefix; scalars are fixed-width little-endian. All reads are
@@ -58,7 +43,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Container magic. The `\r\n` tail catches text-mode transfer mangling,
+/// Bank container magic. The `\r\n` tail catches text-mode transfer mangling,
 /// PNG-style.
 pub const BANK_MAGIC: [u8; 8] = *b"FTBANK\r\n";
 
@@ -66,21 +51,16 @@ pub const BANK_MAGIC: [u8; 8] = *b"FTBANK\r\n";
 /// trajectory payload).
 pub const BANK_VERSION: u16 = 3;
 
-/// The sectioned container format with a length-prefixed (decode-only)
-/// trajectory payload.
+/// The previous container format: the same framing with a
+/// length-prefixed trajectory payload. Read only by the heap decoder,
+/// so `ftd reencode` can convert such banks to [`BANK_VERSION`].
 pub const BANK_VERSION_V2: u16 = 2;
 
-/// The legacy monolithic container format version.
-pub const BANK_VERSION_V1: u16 = 1;
+/// Size of the fixed container header in bytes (magic, version, section
+/// count, table checksum) — the section table follows.
+pub const HEADER_LEN: usize = 8 + 2 + 4 + 8;
 
-/// Size of the fixed v1 container header in bytes.
-pub const HEADER_LEN: usize = 8 + 2 + 8 + 8;
-
-/// Size of the fixed v2 container header in bytes (magic, version,
-/// section count, table checksum) — the section table follows.
-pub const HEADER_LEN_V2: usize = 8 + 2 + 4 + 8;
-
-/// Size of one v2 section-table entry in bytes (type, length, checksum).
+/// Size of one section-table entry in bytes (type, length, checksum).
 pub const SECTION_ENTRY_LEN: usize = 2 + 8 + 8;
 
 /// Section type: the single-fault dictionary (required).
@@ -102,27 +82,6 @@ pub fn section_name(kind: u16) -> &'static str {
     }
 }
 
-/// Checks the magic and returns the container's declared format version
-/// without validating anything else — the dispatch point between the v1
-/// and v2 read paths.
-///
-/// # Errors
-///
-/// [`CodecError::Truncated`] when even the magic + version do not fit,
-/// [`CodecError::BadMagic`] when the magic is wrong.
-pub fn peek_version(container: &[u8]) -> Result<u16, CodecError> {
-    if container.len() < 10 {
-        return Err(CodecError::Truncated {
-            needed: 10,
-            available: container.len(),
-        });
-    }
-    if container[..8] != BANK_MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    Ok(u16::from_le_bytes([container[8], container[9]]))
-}
-
 /// Errors surfaced while encoding to or decoding from the container
 /// format.
 #[derive(Debug)]
@@ -131,7 +90,9 @@ pub enum CodecError {
     Io(std::io::Error),
     /// The container does not start with [`BANK_MAGIC`].
     BadMagic,
-    /// The container's format version is newer than this reader.
+    /// The container's format version is not one this read path
+    /// accepts: the heap decoder takes v2 and v3, the mapped (serving)
+    /// path only v3.
     UnsupportedVersion(u16),
     /// The container or a field within it is shorter than declared.
     Truncated {
@@ -140,15 +101,14 @@ pub enum CodecError {
         /// Bytes actually available.
         available: usize,
     },
-    /// The payload checksum does not match the header (v1), or the v2
-    /// section table does not match its header checksum.
+    /// The section table does not match its header checksum.
     ChecksumMismatch {
         /// Checksum stored in the header.
         stored: u64,
         /// Checksum recomputed over the payload.
         computed: u64,
     },
-    /// A v2 section's payload does not match its table checksum — the
+    /// A section's payload does not match its table checksum — the
     /// corruption is attributed to that section.
     SectionChecksumMismatch {
         /// Type tag of the corrupted section.
@@ -158,7 +118,7 @@ pub enum CodecError {
         /// Checksum recomputed over the section payload.
         computed: u64,
     },
-    /// A required v2 section is absent from the container.
+    /// A required section is absent from the container.
     MissingSection(u16),
     /// The payload decoded cleanly but bytes were left over.
     TrailingBytes(usize),
@@ -195,13 +155,11 @@ impl fmt::Display for CodecError {
         match self {
             CodecError::Io(e) => write!(f, "bank I/O error: {e}"),
             CodecError::BadMagic => write!(f, "not a trajectory bank (bad magic)"),
-            CodecError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported bank format version {v} (reader supports \
-                     {BANK_VERSION_V1}..={BANK_VERSION})"
-                )
-            }
+            CodecError::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported bank format version {v}: banks are served as \
+                 v{BANK_VERSION}; `ftd reencode` converts v{BANK_VERSION_V2} banks"
+            ),
             CodecError::Truncated { needed, available } => {
                 write!(
                     f,
@@ -210,7 +168,8 @@ impl fmt::Display for CodecError {
             }
             CodecError::ChecksumMismatch { stored, computed } => write!(
                 f,
-                "bank payload corrupted: checksum {computed:#018x} != stored {stored:#018x}"
+                "bank section table corrupted: checksum {computed:#018x} != stored \
+                 {stored:#018x}"
             ),
             CodecError::SectionChecksumMismatch {
                 kind,
@@ -257,7 +216,7 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 }
 
 /// [`checksum`] over the concatenation of `parts`, without materialising
-/// it (used for the v2 table checksum, which covers the section count
+/// it (used for the table checksum, which covers the section count
 /// and the table bytes).
 pub fn checksum_parts(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -335,73 +294,26 @@ impl Encoder {
         self.buf.is_empty()
     }
 
-    /// The raw payload bytes encoded so far — the body of one v2 section
+    /// The raw payload bytes encoded so far — the body of one section
     /// (hand to [`ContainerBuilder::push_section`]).
     pub fn into_payload(self) -> Vec<u8> {
         self.buf
     }
-
-    /// Seals the payload into a full **v1** (legacy, monolithic)
-    /// container: header (magic, version, length, checksum) followed by
-    /// the payload bytes. Kept so compatibility tests can mint v1 banks;
-    /// new artifacts go through [`ContainerBuilder`].
-    pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.buf.len());
-        out.extend_from_slice(&BANK_MAGIC);
-        out.extend_from_slice(&BANK_VERSION_V1.to_le_bytes());
-        out.extend_from_slice(&(self.buf.len() as u64).to_le_bytes());
-        out.extend_from_slice(&checksum(&self.buf).to_le_bytes());
-        out.extend_from_slice(&self.buf);
-        out
-    }
 }
 
-/// Assembles a sectioned container (v2 or v3 framing — identical bytes
-/// apart from the version field): push type-tagged payloads, then
-/// [`finish`](ContainerBuilder::finish) seals the header and section
-/// table. Encoding is deterministic — identical sections in identical
-/// order yield identical bytes.
-#[derive(Debug)]
+/// Assembles a [`BANK_VERSION`] container: push type-tagged payloads,
+/// then [`finish`](ContainerBuilder::finish) seals the header and
+/// section table. Encoding is deterministic — identical sections in
+/// identical order yield identical bytes.
+#[derive(Debug, Default)]
 pub struct ContainerBuilder {
-    version: u16,
     sections: Vec<(u16, Vec<u8>)>,
 }
 
-impl Default for ContainerBuilder {
-    fn default() -> Self {
-        ContainerBuilder::new()
-    }
-}
-
 impl ContainerBuilder {
-    /// A builder holding no sections yet, targeting the current format
-    /// version ([`BANK_VERSION`]).
+    /// A builder holding no sections yet.
     pub fn new() -> Self {
-        ContainerBuilder::with_version(BANK_VERSION)
-    }
-
-    /// A builder targeting an explicit sectioned format version —
-    /// [`BANK_VERSION_V2`] or [`BANK_VERSION`] — for writers that keep
-    /// emitting the older trajectory payload (`ftd build-bank --format 2`,
-    /// compatibility tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a version with non-sectioned framing.
-    pub fn with_version(version: u16) -> Self {
-        assert!(
-            version == BANK_VERSION_V2 || version == BANK_VERSION,
-            "sectioned container versions are {BANK_VERSION_V2} and {BANK_VERSION}"
-        );
-        ContainerBuilder {
-            version,
-            sections: Vec::new(),
-        }
-    }
-
-    /// The format version this builder will stamp into the header.
-    pub fn version(&self) -> u16 {
-        self.version
+        ContainerBuilder::default()
     }
 
     /// Appends a section. Sections are written in push order; readers
@@ -435,9 +347,9 @@ impl ContainerBuilder {
         let count_le = count.to_le_bytes();
         let table_ck = checksum_parts(&[&count_le, &table]);
 
-        let mut out = Vec::with_capacity(HEADER_LEN_V2 + table.len() + body_len);
+        let mut out = Vec::with_capacity(HEADER_LEN + table.len() + body_len);
         out.extend_from_slice(&BANK_MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
+        out.extend_from_slice(&BANK_VERSION.to_le_bytes());
         out.extend_from_slice(&count_le);
         out.extend_from_slice(&table_ck.to_le_bytes());
         out.extend_from_slice(&table);
@@ -448,10 +360,9 @@ impl ContainerBuilder {
     }
 }
 
-/// One entry of a parsed v2 section table, without a borrow of the
-/// container bytes — the owner-independent sibling of [`Section`], for
-/// long-lived mapped shards where the table outlives any one borrow of
-/// the mapping (see [`SectionTable`]).
+/// One entry of a parsed section table. It holds no borrow of the
+/// container bytes, so a long-lived mapped shard can keep its table
+/// beside the mapping (see [`SectionTable`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectionEntry {
     /// The section's type tag.
@@ -470,9 +381,15 @@ impl SectionEntry {
     pub fn payload<'a>(&self, container: &'a [u8]) -> &'a [u8] {
         &container[self.offset..self.offset + self.len]
     }
+
+    /// Recomputes the payload checksum over `container` and compares it
+    /// to the table.
+    pub fn checksum_ok(&self, container: &[u8]) -> bool {
+        checksum(self.payload(container)) == self.stored_checksum
+    }
 }
 
-/// A structurally validated v2 section table that owns no borrow of the
+/// A structurally validated section table that owns no borrow of the
 /// container: magic, version, table checksum, and exact payload tiling
 /// are verified eagerly by [`SectionTable::parse`], while each section's
 /// payload FNV is verified lazily on first access through
@@ -487,35 +404,40 @@ pub struct SectionTable {
 }
 
 impl SectionTable {
-    /// Parses and structurally validates a sectioned (v2 or v3)
-    /// container's header and section table, touching none of the
-    /// payload bytes.
+    /// Parses and structurally validates a v2 or v3 container's header
+    /// and section table, touching none of the payload bytes.
     ///
     /// # Errors
     ///
-    /// As [`Container::parse`]: magic/version violations, a table
-    /// checksum mismatch, or any size inconsistency.
+    /// A short header ([`CodecError::Truncated`]), wrong magic
+    /// ([`CodecError::BadMagic`]), a version other than v2/v3, a table
+    /// checksum mismatch ([`CodecError::ChecksumMismatch`]), or any size
+    /// inconsistency (the container must equal header + table +
+    /// declared payloads exactly).
     pub fn parse(container: &[u8]) -> Result<Self, CodecError> {
-        let version = peek_version(container)?;
-        if version != BANK_VERSION_V2 && version != BANK_VERSION {
-            return Err(CodecError::UnsupportedVersion(version));
-        }
-        if container.len() < HEADER_LEN_V2 {
+        if container.len() < HEADER_LEN {
             return Err(CodecError::Truncated {
-                needed: HEADER_LEN_V2,
+                needed: HEADER_LEN,
                 available: container.len(),
             });
         }
+        if container[..8] != BANK_MAGIC {
+            return Err(CodecError::BadMagic);
+        }
+        let version = u16::from_le_bytes([container[8], container[9]]);
+        if version != BANK_VERSION_V2 && version != BANK_VERSION {
+            return Err(CodecError::UnsupportedVersion(version));
+        }
         let count = u32::from_le_bytes(container[10..14].try_into().expect("4 bytes")) as usize;
         let table_len = count.saturating_mul(SECTION_ENTRY_LEN);
-        let table_end = HEADER_LEN_V2.saturating_add(table_len);
+        let table_end = HEADER_LEN.saturating_add(table_len);
         if table_end > container.len() {
             return Err(CodecError::Truncated {
                 needed: table_end,
                 available: container.len(),
             });
         }
-        let table = &container[HEADER_LEN_V2..table_end];
+        let table = &container[HEADER_LEN..table_end];
         let stored = u64::from_le_bytes(container[14..22].try_into().expect("8 bytes"));
         let computed = checksum_parts(&[&container[10..14], table]);
         if stored != computed {
@@ -581,9 +503,31 @@ impl SectionTable {
         self.entries.iter().map(|e| e.len as u64).sum()
     }
 
+    /// The unique entry of type `kind`, located structurally: no payload
+    /// byte is read, so a v3 open stays O(header). `Ok(None)` when the
+    /// container has no such section.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Malformed`] when the type tag appears more than
+    /// once.
+    pub fn entry(&self, kind: u16) -> Result<Option<&SectionEntry>, CodecError> {
+        let mut matches = self.entries.iter().filter(|e| e.kind == kind);
+        let found = matches.next();
+        if matches.next().is_some() {
+            return Err(CodecError::Malformed(format!(
+                "duplicate section {kind} ({})",
+                section_name(kind)
+            )));
+        }
+        Ok(found)
+    }
+
     /// Locates the unique section of type `kind` in `container` (the
     /// same bytes the table was parsed from) and verifies its payload
-    /// checksum — the lazy half of the mapped read path.
+    /// checksum — the lazy half of the mapped read path. Returns
+    /// `Ok(None)` when the container has no such section (an *optional*
+    /// section being absent is not an error).
     ///
     /// # Errors
     ///
@@ -600,33 +544,19 @@ impl SectionTable {
             self.total_len,
             "section table used against a different container"
         );
-        let mut found: Option<&SectionEntry> = None;
-        for e in &self.entries {
-            if e.kind == kind {
-                if found.is_some() {
-                    return Err(CodecError::Malformed(format!(
-                        "duplicate section {kind} ({})",
-                        section_name(kind)
-                    )));
-                }
-                found = Some(e);
-            }
+        let Some(e) = self.entry(kind)? else {
+            return Ok(None);
+        };
+        let payload = e.payload(container);
+        let computed = checksum(payload);
+        if computed != e.stored_checksum {
+            return Err(CodecError::SectionChecksumMismatch {
+                kind,
+                stored: e.stored_checksum,
+                computed,
+            });
         }
-        match found {
-            None => Ok(None),
-            Some(e) => {
-                let payload = e.payload(container);
-                let computed = checksum(payload);
-                if computed != e.stored_checksum {
-                    return Err(CodecError::SectionChecksumMismatch {
-                        kind,
-                        stored: e.stored_checksum,
-                        computed,
-                    });
-                }
-                Ok(Some(payload))
-            }
-        }
+        Ok(Some(payload))
     }
 
     /// [`SectionTable::find`] for a *required* section.
@@ -641,127 +571,7 @@ impl SectionTable {
     }
 }
 
-/// One section of a parsed v2 container.
-#[derive(Debug, Clone, Copy)]
-pub struct Section<'a> {
-    /// The section's type tag.
-    pub kind: u16,
-    /// Absolute byte offset of the payload within the container.
-    pub offset: usize,
-    /// Checksum stored in the section table.
-    pub stored_checksum: u64,
-    /// The section's payload bytes (not yet checksum-verified).
-    pub payload: &'a [u8],
-}
-
-impl Section<'_> {
-    /// Recomputes the payload checksum and compares it to the table.
-    pub fn checksum_ok(&self) -> bool {
-        checksum(self.payload) == self.stored_checksum
-    }
-}
-
-/// A parsed (but not yet per-section-verified) v2 container: the header
-/// and section table are validated structurally — magic, version, table
-/// checksum, and that the declared payloads tile the container exactly —
-/// while each section's payload checksum is verified on access, so tools
-/// like `ftd bank-info` can report per-section status without aborting
-/// at the first bad section.
-#[derive(Debug)]
-pub struct Container<'a> {
-    version: u16,
-    sections: Vec<Section<'a>>,
-}
-
-impl<'a> Container<'a> {
-    /// Parses a sectioned (v2 or v3) container's header and section
-    /// table.
-    ///
-    /// # Errors
-    ///
-    /// Magic/version violations, a table checksum mismatch
-    /// ([`CodecError::ChecksumMismatch`]), or any size inconsistency
-    /// (the container must equal header + table + declared payloads
-    /// exactly) are reported before any section is touched.
-    pub fn parse(container: &'a [u8]) -> Result<Self, CodecError> {
-        let table = SectionTable::parse(container)?;
-        let sections = table
-            .entries()
-            .iter()
-            .map(|e| Section {
-                kind: e.kind,
-                offset: e.offset,
-                stored_checksum: e.stored_checksum,
-                payload: e.payload(container),
-            })
-            .collect();
-        Ok(Container {
-            version: table.version(),
-            sections,
-        })
-    }
-
-    /// The container format version the header declared.
-    pub fn version(&self) -> u16 {
-        self.version
-    }
-
-    /// The sections, in table order (payload checksums not yet verified
-    /// — see [`Section::checksum_ok`]).
-    pub fn sections(&self) -> &[Section<'a>] {
-        &self.sections
-    }
-
-    /// Locates the unique section of type `kind` and verifies its
-    /// checksum. Returns `Ok(None)` when the container has no such
-    /// section (an *optional* section being absent is not an error).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::SectionChecksumMismatch`] (attributed to `kind`) on
-    /// payload corruption, [`CodecError::Malformed`] when the type tag
-    /// appears more than once.
-    pub fn find(&self, kind: u16) -> Result<Option<&'a [u8]>, CodecError> {
-        let mut found: Option<&Section<'a>> = None;
-        for s in &self.sections {
-            if s.kind == kind {
-                if found.is_some() {
-                    return Err(CodecError::Malformed(format!(
-                        "duplicate section {kind} ({})",
-                        section_name(kind)
-                    )));
-                }
-                found = Some(s);
-            }
-        }
-        match found {
-            None => Ok(None),
-            Some(s) => {
-                let computed = checksum(s.payload);
-                if computed != s.stored_checksum {
-                    return Err(CodecError::SectionChecksumMismatch {
-                        kind,
-                        stored: s.stored_checksum,
-                        computed,
-                    });
-                }
-                Ok(Some(s.payload))
-            }
-        }
-    }
-
-    /// [`Container::find`] for a *required* section.
-    ///
-    /// # Errors
-    ///
-    /// As [`Container::find`], plus [`CodecError::MissingSection`] when
-    /// the section is absent.
-    pub fn require(&self, kind: u16) -> Result<&'a [u8], CodecError> {
-        self.find(kind)?.ok_or(CodecError::MissingSection(kind))
-    }
-}
-
-/// Bounds-checked reader over a verified container payload.
+/// Bounds-checked reader over a verified section payload.
 #[derive(Debug)]
 pub struct Decoder<'a> {
     buf: &'a [u8],
@@ -769,50 +579,8 @@ pub struct Decoder<'a> {
 }
 
 impl<'a> Decoder<'a> {
-    /// Verifies a **v1** container (magic, version, declared length,
-    /// checksum) and returns a decoder positioned at the start of the
-    /// payload. v2 containers go through [`Container::parse`] instead;
-    /// use [`peek_version`] to dispatch.
-    ///
-    /// # Errors
-    ///
-    /// Any header or checksum violation is reported before a single
-    /// payload field is parsed.
-    pub fn open(container: &'a [u8]) -> Result<Self, CodecError> {
-        if container.len() < HEADER_LEN {
-            return Err(CodecError::Truncated {
-                needed: HEADER_LEN,
-                available: container.len(),
-            });
-        }
-        if container[..8] != BANK_MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let version = u16::from_le_bytes([container[8], container[9]]);
-        if version != BANK_VERSION_V1 {
-            return Err(CodecError::UnsupportedVersion(version));
-        }
-        let declared = u64::from_le_bytes(container[10..18].try_into().expect("8 bytes"));
-        let payload = &container[HEADER_LEN..];
-        if declared != payload.len() as u64 {
-            return Err(CodecError::Truncated {
-                needed: HEADER_LEN + declared as usize,
-                available: container.len(),
-            });
-        }
-        let stored = u64::from_le_bytes(container[18..26].try_into().expect("8 bytes"));
-        let computed = checksum(payload);
-        if stored != computed {
-            return Err(CodecError::ChecksumMismatch { stored, computed });
-        }
-        Ok(Decoder {
-            buf: payload,
-            pos: 0,
-        })
-    }
-
-    /// A decoder over a bare payload slice (a verified v2 section body —
-    /// header and checksum checks already done by [`Container`]).
+    /// A decoder over a bare payload slice (a section body whose
+    /// checksum [`SectionTable::find`] already verified).
     pub fn over(payload: &'a [u8]) -> Self {
         Decoder {
             buf: payload,
@@ -953,7 +721,7 @@ impl<'a> Decoder<'a> {
 mod tests {
     use super::*;
 
-    fn sample_container() -> Vec<u8> {
+    fn sample_payload() -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.put_u8(3);
         enc.put_u32(77);
@@ -961,13 +729,13 @@ mod tests {
         enc.put_f64(-2.5);
         enc.put_str("R3+20%");
         enc.put_f64s(&[0.0, 1.5, f64::MAX]);
-        enc.finish()
+        enc.into_payload()
     }
 
     #[test]
     fn primitive_round_trip() {
-        let bytes = sample_container();
-        let mut dec = Decoder::open(&bytes).unwrap();
+        let bytes = sample_payload();
+        let mut dec = Decoder::over(&bytes);
         assert_eq!(dec.get_u8().unwrap(), 3);
         assert_eq!(dec.get_u32().unwrap(), 77);
         assert_eq!(dec.get_u64().unwrap(), 1 << 40);
@@ -979,52 +747,23 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_rejected() {
-        let mut bytes = sample_container();
-        bytes[0] ^= 0xff;
-        assert!(matches!(Decoder::open(&bytes), Err(CodecError::BadMagic)));
-    }
-
-    #[test]
-    fn future_version_rejected() {
-        let mut bytes = sample_container();
-        bytes[8] = 0xfe;
-        bytes[9] = 0x01;
-        // Version bytes sit in the header, outside the checksum.
-        assert!(matches!(
-            Decoder::open(&bytes),
-            Err(CodecError::UnsupportedVersion(0x01fe))
-        ));
-    }
-
-    #[test]
-    fn truncation_detected() {
-        let bytes = sample_container();
-        for cut in [0, HEADER_LEN - 1, bytes.len() - 1] {
-            assert!(matches!(
-                Decoder::open(&bytes[..cut]),
-                Err(CodecError::Truncated { .. })
-            ));
-        }
-    }
-
-    #[test]
-    fn payload_corruption_detected() {
-        let mut bytes = sample_container();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x10;
-        assert!(matches!(
-            Decoder::open(&bytes),
-            Err(CodecError::ChecksumMismatch { .. })
-        ));
+    fn truncated_field_detected() {
+        let bytes = sample_payload();
+        let mut dec = Decoder::over(&bytes[..bytes.len() - 1]);
+        dec.get_u8().unwrap();
+        dec.get_u32().unwrap();
+        dec.get_u64().unwrap();
+        dec.get_f64().unwrap();
+        dec.get_str().unwrap();
+        assert!(matches!(dec.get_f64s(), Err(CodecError::Truncated { .. })));
     }
 
     #[test]
     fn oversized_count_rejected_before_allocating() {
         let mut enc = Encoder::new();
         enc.put_u32(u32::MAX); // declares ~4 billion elements
-        let bytes = enc.finish();
-        let mut dec = Decoder::open(&bytes).unwrap();
+        let bytes = enc.into_payload();
+        let mut dec = Decoder::over(&bytes);
         assert!(matches!(dec.get_f64s(), Err(CodecError::Truncated { .. })));
     }
 
@@ -1036,8 +775,8 @@ mod tests {
         let mut enc = Encoder::new();
         enc.put_u8(0xaa); // advance pos past 0 so the add could overflow
         enc.put_u32(u32::MAX);
-        let bytes = enc.finish();
-        let mut dec = Decoder::open(&bytes).unwrap();
+        let bytes = enc.into_payload();
+        let mut dec = Decoder::over(&bytes);
         assert_eq!(dec.get_u8().unwrap(), 0xaa);
         match dec.get_count(usize::MAX) {
             Err(CodecError::Truncated { needed, available }) => {
@@ -1050,8 +789,8 @@ mod tests {
 
     #[test]
     fn trailing_bytes_detected() {
-        let bytes = sample_container();
-        let mut dec = Decoder::open(&bytes).unwrap();
+        let bytes = sample_payload();
+        let mut dec = Decoder::over(&bytes);
         let _ = dec.get_u8().unwrap();
         assert!(matches!(dec.finish(), Err(CodecError::TrailingBytes(_))));
     }
@@ -1062,8 +801,8 @@ mod tests {
         enc.put_u32(2);
         enc.put_u8(0xff);
         enc.put_u8(0xfe);
-        let bytes = enc.finish();
-        let mut dec = Decoder::open(&bytes).unwrap();
+        let bytes = enc.into_payload();
+        let mut dec = Decoder::over(&bytes);
         assert!(matches!(dec.get_str(), Err(CodecError::Malformed(_))));
     }
 
@@ -1079,7 +818,7 @@ mod tests {
         assert_eq!(checksum_parts(&[b"", b"abcd", b""]), checksum(b"abcd"));
     }
 
-    fn sample_v2() -> Vec<u8> {
+    fn sample_container() -> Vec<u8> {
         let mut b = ContainerBuilder::new();
         b.push_section(SECTION_DICTIONARY, b"dict-payload".to_vec());
         b.push_section(SECTION_TRAJECTORIES, b"traj".to_vec());
@@ -1090,114 +829,54 @@ mod tests {
     }
 
     #[test]
-    fn v2_container_round_trips_sections() {
-        let bytes = sample_v2();
-        assert_eq!(peek_version(&bytes).unwrap(), BANK_VERSION);
-        let c = Container::parse(&bytes).unwrap();
-        assert_eq!(c.sections().len(), 3);
-        assert!(c.sections().iter().all(|s| s.checksum_ok()));
-        assert_eq!(c.require(SECTION_DICTIONARY).unwrap(), b"dict-payload");
-        assert_eq!(c.require(SECTION_TRAJECTORIES).unwrap(), b"traj");
-        assert_eq!(c.find(0x7ff0).unwrap(), Some(&b"future-section"[..]));
-        assert_eq!(c.find(SECTION_MULTIFAULT).unwrap(), None);
+    fn container_round_trips_sections() {
+        let bytes = sample_container();
+        let table = SectionTable::parse(&bytes).unwrap();
+        assert_eq!(table.version(), BANK_VERSION);
+        assert_eq!(table.total_len(), bytes.len());
+        assert_eq!(table.entries().len(), 3);
+        assert!(table.entries().iter().all(|e| e.checksum_ok(&bytes)));
+        assert_eq!(table.payload_bytes(), 12 + 4 + 14);
+        assert_eq!(
+            table.require(&bytes, SECTION_DICTIONARY).unwrap(),
+            b"dict-payload"
+        );
+        assert_eq!(
+            table.require(&bytes, SECTION_TRAJECTORIES).unwrap(),
+            b"traj"
+        );
+        assert_eq!(
+            table.find(&bytes, 0x7ff0).unwrap(),
+            Some(&b"future-section"[..])
+        );
+        assert_eq!(table.find(&bytes, SECTION_MULTIFAULT).unwrap(), None);
+        assert!(table.entry(SECTION_MULTIFAULT).unwrap().is_none());
         assert!(matches!(
-            c.require(SECTION_MULTIFAULT),
+            table.require(&bytes, SECTION_MULTIFAULT),
             Err(CodecError::MissingSection(SECTION_MULTIFAULT))
         ));
     }
 
     #[test]
-    fn v2_section_corruption_is_attributed() {
-        let bytes = sample_v2();
-        let c = Container::parse(&bytes).unwrap();
-        let traj_off = c.sections()[1].offset;
-        drop(c);
-        let mut corrupt = bytes.clone();
-        corrupt[traj_off] ^= 0x01;
-        let c = Container::parse(&corrupt).unwrap();
-        // The untouched section still verifies…
-        assert!(c.require(SECTION_DICTIONARY).is_ok());
-        // …while the hit one is reported by name.
+    fn bad_magic_rejected() {
+        let mut bytes = sample_container();
+        bytes[0] ^= 0xff;
         assert!(matches!(
-            c.require(SECTION_TRAJECTORIES),
-            Err(CodecError::SectionChecksumMismatch {
-                kind: SECTION_TRAJECTORIES,
-                ..
-            })
+            SectionTable::parse(&bytes),
+            Err(CodecError::BadMagic)
         ));
     }
 
     #[test]
-    fn v2_table_corruption_is_detected() {
-        let bytes = sample_v2();
-        // Every byte of count + table checksum + table entries.
-        for pos in 10..HEADER_LEN_V2 + 3 * SECTION_ENTRY_LEN {
-            let mut corrupt = bytes.clone();
-            corrupt[pos] ^= 0x01;
-            assert!(
-                Container::parse(&corrupt).is_err(),
-                "table flip at byte {pos} went undetected"
-            );
-        }
-    }
-
-    #[test]
-    fn v2_truncation_and_trailing_garbage_detected() {
-        let bytes = sample_v2();
-        for cut in [0, 9, HEADER_LEN_V2 - 1, bytes.len() - 1] {
-            assert!(Container::parse(&bytes[..cut]).is_err());
-        }
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert!(Container::parse(&padded).is_err());
-    }
-
-    #[test]
-    fn v2_duplicate_section_rejected_on_access() {
-        let mut b = ContainerBuilder::new();
-        b.push_section(SECTION_DICTIONARY, b"a".to_vec());
-        b.push_section(SECTION_DICTIONARY, b"b".to_vec());
-        let c = b.finish();
-        let c = Container::parse(&c).unwrap();
-        assert!(matches!(
-            c.require(SECTION_DICTIONARY),
-            Err(CodecError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn section_table_matches_container_view() {
-        let bytes = sample_v2();
-        let table = SectionTable::parse(&bytes).unwrap();
-        let c = Container::parse(&bytes).unwrap();
-        assert_eq!(table.entries().len(), c.sections().len());
-        assert_eq!(table.total_len(), bytes.len());
-        for (e, s) in table.entries().iter().zip(c.sections()) {
-            assert_eq!(e.kind, s.kind);
-            assert_eq!(e.offset, s.offset);
-            assert_eq!(e.stored_checksum, s.stored_checksum);
-            assert_eq!(e.payload(&bytes), s.payload);
-        }
-        assert_eq!(
-            table.payload_bytes(),
-            c.sections().iter().map(|s| s.payload.len() as u64).sum()
-        );
-        assert_eq!(
-            table.require(&bytes, SECTION_DICTIONARY).unwrap(),
-            b"dict-payload"
-        );
-        assert_eq!(table.find(&bytes, SECTION_MULTIFAULT).unwrap(), None);
-    }
-
-    #[test]
-    fn section_table_verifies_payload_lazily() {
-        let bytes = sample_v2();
-        let traj_off = SectionTable::parse(&bytes).unwrap().entries()[1].offset;
+    fn section_checksums_are_verified_lazily_and_attributed() {
+        let bytes = sample_container();
+        let traj = SectionTable::parse(&bytes).unwrap().entries()[1];
         let mut corrupt = bytes.clone();
-        corrupt[traj_off] ^= 0x01;
+        corrupt[traj.offset] ^= 0x01;
         // Parsing never touches payloads, so corruption parses fine…
         let table = SectionTable::parse(&corrupt).unwrap();
         assert!(table.require(&corrupt, SECTION_DICTIONARY).is_ok());
+        assert!(!traj.checksum_ok(&corrupt));
         // …and is attributed on first access to the hit section.
         assert!(matches!(
             table.require(&corrupt, SECTION_TRAJECTORIES),
@@ -1209,50 +888,83 @@ mod tests {
     }
 
     #[test]
+    fn table_corruption_is_detected() {
+        let bytes = sample_container();
+        // Every byte of count + table checksum + table entries.
+        for pos in 10..HEADER_LEN + 3 * SECTION_ENTRY_LEN {
+            let mut corrupt = bytes.clone();
+            corrupt[pos] ^= 0x01;
+            assert!(
+                SectionTable::parse(&corrupt).is_err(),
+                "table flip at byte {pos} went undetected"
+            );
+        }
+    }
+
+    #[test]
+    fn truncation_and_trailing_garbage_detected() {
+        let bytes = sample_container();
+        for cut in [0, 9, HEADER_LEN - 1] {
+            assert!(matches!(
+                SectionTable::parse(&bytes[..cut]),
+                Err(CodecError::Truncated { .. })
+            ));
+        }
+        assert!(SectionTable::parse(&bytes[..bytes.len() - 1]).is_err());
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert!(SectionTable::parse(&padded).is_err());
+    }
+
+    #[test]
+    fn duplicate_section_rejected_on_access() {
+        let mut b = ContainerBuilder::new();
+        b.push_section(SECTION_DICTIONARY, b"a".to_vec());
+        b.push_section(SECTION_DICTIONARY, b"b".to_vec());
+        let bytes = b.finish();
+        let table = SectionTable::parse(&bytes).unwrap();
+        assert!(matches!(
+            table.entry(SECTION_DICTIONARY),
+            Err(CodecError::Malformed(_))
+        ));
+        assert!(matches!(
+            table.require(&bytes, SECTION_DICTIONARY),
+            Err(CodecError::Malformed(_))
+        ));
+    }
+
+    #[test]
     #[should_panic(expected = "different container")]
     fn section_table_rejects_foreign_container() {
-        let bytes = sample_v2();
+        let bytes = sample_container();
         let table = SectionTable::parse(&bytes).unwrap();
         let _ = table.find(&bytes[..bytes.len() - 1], SECTION_DICTIONARY);
     }
 
     #[test]
-    fn sectioned_parser_accepts_v2_and_v3_and_reports_the_version() {
-        for version in [BANK_VERSION_V2, BANK_VERSION] {
-            let mut b = ContainerBuilder::with_version(version);
-            b.push_section(SECTION_DICTIONARY, b"dict".to_vec());
-            let bytes = b.finish();
-            assert_eq!(peek_version(&bytes).unwrap(), version);
-            let table = SectionTable::parse(&bytes).unwrap();
-            assert_eq!(table.version(), version);
-            let c = Container::parse(&bytes).unwrap();
-            assert_eq!(c.version(), version);
-            assert_eq!(c.require(SECTION_DICTIONARY).unwrap(), b"dict");
+    fn parser_reports_v2_and_rejects_other_versions() {
+        // The version field sits outside the table checksum (which
+        // covers bytes 10 onward), so patching it yields a valid
+        // container of that version.
+        let patched = |version: u16| {
+            let mut bytes = sample_container();
+            bytes[8..10].copy_from_slice(&version.to_le_bytes());
+            bytes
+        };
+        let v2 = patched(BANK_VERSION_V2);
+        let table = SectionTable::parse(&v2).unwrap();
+        assert_eq!(table.version(), BANK_VERSION_V2);
+        assert_eq!(table.require(&v2, SECTION_TRAJECTORIES).unwrap(), b"traj");
+        // The retired monolithic v1 and unknown future versions are
+        // rejected, and the message points at the conversion tool.
+        for version in [1, 4, 0x01fe] {
+            let err = SectionTable::parse(&patched(version)).unwrap_err();
+            assert!(
+                matches!(err, CodecError::UnsupportedVersion(v) if v == version),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("ftd reencode"), "{err}");
         }
-        // An unknown sectioned future version is still rejected.
-        let mut b = ContainerBuilder::new();
-        b.push_section(SECTION_DICTIONARY, b"dict".to_vec());
-        let mut bytes = b.finish();
-        bytes[8] = 4;
-        assert!(matches!(
-            SectionTable::parse(&bytes),
-            Err(CodecError::UnsupportedVersion(4))
-        ));
-    }
-
-    #[test]
-    fn v1_container_rejected_by_v2_parser_and_vice_versa() {
-        let v1 = sample_container();
-        assert_eq!(peek_version(&v1).unwrap(), BANK_VERSION_V1);
-        assert!(matches!(
-            Container::parse(&v1),
-            Err(CodecError::UnsupportedVersion(BANK_VERSION_V1))
-        ));
-        let v2 = sample_v2();
-        assert!(matches!(
-            Decoder::open(&v2),
-            Err(CodecError::UnsupportedVersion(BANK_VERSION))
-        ));
     }
 
     #[test]

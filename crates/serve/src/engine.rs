@@ -44,31 +44,9 @@ pub fn diagnose_batch_with<B>(
 where
     B: SegmentQuery + Sync + ?Sized,
 {
-    let n = observed.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, n);
-    let chunk = n.div_ceil(workers);
-    let mut out: Vec<Option<Diagnosis>> = vec![None; n];
-    std::thread::scope(|scope| {
-        for (in_chunk, out_chunk) in observed.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (sig, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(diagnoser.diagnose_with(backend, sig));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|d| d.expect("every batch slot is filled by exactly one worker"))
-        .collect()
+    fan_out(observed, workers, |sig| {
+        diagnoser.diagnose_with(backend, sig)
+    })
 }
 
 /// [`diagnose_batch_with`] over the top-k / early-termination path:
@@ -89,6 +67,18 @@ pub fn diagnose_batch_topk_with<B>(
 where
     B: SegmentQuery + Sync + ?Sized,
 {
+    fan_out(observed, workers, |sig| {
+        diagnoser.diagnose_topk(backend, sig, k)
+    })
+}
+
+/// Splits `observed` into one contiguous chunk per worker, runs
+/// `diagnose` over each chunk on a scoped thread, and returns the
+/// results in input order.
+fn fan_out<F>(observed: &[Signature], workers: Option<usize>, diagnose: F) -> Vec<Diagnosis>
+where
+    F: Fn(&Signature) -> Diagnosis + Sync,
+{
     let n = observed.len();
     if n == 0 {
         return Vec::new();
@@ -102,11 +92,12 @@ where
         .clamp(1, n);
     let chunk = n.div_ceil(workers);
     let mut out: Vec<Option<Diagnosis>> = vec![None; n];
+    let diagnose = &diagnose;
     std::thread::scope(|scope| {
         for (in_chunk, out_chunk) in observed.chunks(chunk).zip(out.chunks_mut(chunk)) {
             scope.spawn(move || {
                 for (sig, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(diagnoser.diagnose_topk(backend, sig, k));
+                    *slot = Some(diagnose(sig));
                 }
             });
         }

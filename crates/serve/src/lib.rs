@@ -7,10 +7,11 @@
 //!
 //! * [`TrajectoryBank`] — dictionary + trajectories (+ an optional
 //!   multi-fault dictionary) persisted to disk through a self-contained
-//!   binary [`codec`]: a sectioned v2 container whose sections are
-//!   type-tagged, length-prefixed, and independently checksummed
-//!   (unknown sections skip; legacy v1 monolithic banks still load; the
-//!   vendored `serde` is a marker-only shim, so the codec is
+//!   binary [`codec`]: a sectioned v3 container whose sections are
+//!   type-tagged, length-prefixed, and independently checksummed, with
+//!   an 8-byte-aligned trajectory section served zero-copy (unknown
+//!   sections skip; v2 banks decode only so `ftd reencode` can convert
+//!   them; the vendored `serde` is a marker-only shim, so the codec is
 //!   hand-rolled).
 //! * [`SegmentIndex`] — a spatial index over signature space: a
 //!   cache-flat SoA forest of per-trajectory 8-ary AABB trees with
@@ -97,9 +98,9 @@ pub mod synthetic;
 
 pub use bank::{MappedBank, TrajectoryBank};
 pub use codec::{
-    checksum, peek_version, section_name, CodecError, Container, ContainerBuilder, Decoder,
-    Encoder, Section, SectionEntry, SectionTable, BANK_MAGIC, BANK_VERSION, BANK_VERSION_V1,
-    SECTION_DICTIONARY, SECTION_MULTIFAULT, SECTION_TRAJECTORIES,
+    checksum, section_name, CodecError, ContainerBuilder, Decoder, Encoder, SectionEntry,
+    SectionTable, BANK_MAGIC, BANK_VERSION, SECTION_DICTIONARY, SECTION_MULTIFAULT,
+    SECTION_TRAJECTORIES,
 };
 pub use engine::{diagnose_batch_topk_with, diagnose_batch_with, DiagnosisEngine, EngineConfig};
 pub use index::{IndexCounters, QueryStats, SegmentIndex};

@@ -14,11 +14,12 @@
 //!
 //! The store is built to front shard sets much larger than RAM:
 //!
-//! * **Zero-copy loads** — with [`StoreConfig::mapped`] (the default)
-//!   shards load through [`DiagnosisEngine::load_mapped`]: the file is
-//!   memory-mapped, only the trajectory section is decoded, and the
-//!   dictionary payloads stay as mapped bytes the kernel pages in on
-//!   demand.
+//! * **Zero-copy loads** — shards load through
+//!   [`DiagnosisEngine::load_mapped`]: the file is memory-mapped, the
+//!   trajectory section is viewed in place, and the dictionary payloads
+//!   stay as mapped bytes the kernel pages in on demand. Shards must be
+//!   format v3; a v2 shard fails to load with an error naming
+//!   `ftd reencode`.
 //! * **LRU eviction** — [`StoreConfig::mem_budget`] caps the resident
 //!   bytes (accounted per shard from the section table); crossing the
 //!   budget evicts least-recently-used shards. Eviction only drops the
@@ -187,9 +188,6 @@ pub struct StoreConfig {
     /// target, not a hard wall: the shard being served is never evicted,
     /// so a single shard larger than the budget still serves.
     pub mem_budget: Option<u64>,
-    /// Load shards zero-copy through the mmap path (default). Disabling
-    /// falls back to full heap decode per shard; results are identical.
-    pub mapped: bool,
     /// Minimum age before a cache hit re-`stat(2)`s its shard file for
     /// hot-reload detection. The default (`Duration::ZERO`) preserves
     /// the historical stat-per-hit behavior; a serving deployment that
@@ -204,7 +202,6 @@ impl Default for StoreConfig {
         StoreConfig {
             engine: EngineConfig::default(),
             mem_budget: None,
-            mapped: true,
             min_stat_interval: Duration::ZERO,
         }
     }
@@ -710,11 +707,7 @@ impl BankStore {
             .metrics
             .as_ref()
             .map(|m| SpanTimer::start(Arc::clone(&m.load_latency)));
-        let loaded = if self.config.mapped {
-            DiagnosisEngine::load_mapped(path, self.config.engine)
-        } else {
-            DiagnosisEngine::load(path, self.config.engine)
-        };
+        let loaded = DiagnosisEngine::load_mapped(path, self.config.engine);
         drop(span); // record the load wall time, success or failure
         let (state, generation, bytes): (ShardState, FileGen, u64) = match loaded {
             Ok(mut engine) => {
@@ -1002,6 +995,11 @@ mod tests {
         store.diagnose(&DiagnosisRequest::new("y", sig)).unwrap();
         assert_eq!(store.loaded_count(), 2);
         assert!(store.resident_bytes() > 0, "file-backed shards are counted");
+        assert_eq!(
+            store.engine("x").unwrap().is_mapped(),
+            cfg!(unix),
+            "shards load memory-mapped on unix"
+        );
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1194,31 +1192,6 @@ mod tests {
             unbounded.diagnose(&req).unwrap()
         );
 
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn heap_and_mapped_store_modes_agree() {
-        let dir = std::env::temp_dir().join("ft_store_modes_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        rc_bank(1e3).save(dir.join("cut.ftb")).unwrap();
-        let mapped = BankStore::open_with(&dir, StoreConfig::default()).unwrap();
-        let heap = BankStore::open_with(
-            &dir,
-            StoreConfig {
-                mapped: false,
-                ..StoreConfig::default()
-            },
-        )
-        .unwrap();
-        let req = DiagnosisRequest::new("cut", Signature::new(vec![1.1, 0.2]));
-        assert_eq!(mapped.diagnose(&req).unwrap(), heap.diagnose(&req).unwrap());
-        assert_eq!(
-            mapped.engine("cut").unwrap().is_mapped(),
-            cfg!(unix),
-            "default mode maps on unix"
-        );
-        assert!(!heap.engine("cut").unwrap().is_mapped());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,11 +1,12 @@
-//! Acceptance tests for the sectioned bank format v2, the sharded
+//! Acceptance tests for the sectioned bank format, the sharded
 //! `BankStore`, and the persistent-pool serving front-end:
 //!
-//! * a v1 bank written by the legacy codec loads under the v2 reader;
-//! * a v2 bank with a `MultiFaultSection` round-trips its
+//! * a bank with a `MultiFaultSection` round-trips its
 //!   `MultiFaultDictionary` byte-identically;
 //! * per-section single-byte corruption is detected *and attributed* to
 //!   the section it hit; unknown sections are skipped losslessly;
+//! * mapped and heap engines answer byte-identically, and a v2 bank
+//!   diagnoses exactly like its v3 re-encode;
 //! * `BankStore` routing over two CUTs and `ServeHandle` at worker
 //!   counts 1, 2, and 8 are byte-identical to per-bank
 //!   `DiagnosisEngine::diagnose_batch`.
@@ -15,7 +16,7 @@ use std::sync::Arc;
 use fault_trajectory::core::Diagnosis;
 use fault_trajectory::faults::all_pairs;
 use fault_trajectory::prelude::*;
-use fault_trajectory::serve::{diagnose_on, synthetic_queries, Container, ContainerBuilder};
+use fault_trajectory::serve::{diagnose_on, synthetic_queries, ContainerBuilder, SectionTable};
 
 /// The paper CUT's bank at quality factor `q`, with the exhaustive
 /// pair-fault dictionary attached as a multi-fault section.
@@ -34,19 +35,6 @@ fn paper_bank_with_multifault(q: f64) -> TrajectoryBank {
     )
     .expect("multi-fault dictionary builds");
     TrajectoryBank::build(dict, &TestVector::pair(0.6, 1.6)).with_multifault(mfd)
-}
-
-#[test]
-fn v1_bank_loads_under_v2_reader() {
-    let bank = paper_bank_with_multifault(1.0);
-    let v1 = bank.to_bytes_v1();
-    let back = TrajectoryBank::from_bytes(&v1).expect("v1 container loads");
-    // v1 cannot carry the multi-fault section; everything else survives.
-    assert_eq!(back.dictionary(), bank.dictionary());
-    assert_eq!(back.trajectory_set(), bank.trajectory_set());
-    assert!(back.multifault_dictionary().is_none());
-    // Round-tripping the loaded bank through v2 and back is lossless.
-    assert_eq!(TrajectoryBank::from_bytes(&back.to_bytes()).unwrap(), back);
 }
 
 #[test]
@@ -75,13 +63,12 @@ fn per_section_corruption_is_attributed_to_the_right_section() {
     use fault_trajectory::serve::CodecError;
 
     let bytes = paper_bank_with_multifault(1.0).to_bytes();
-    let container = Container::parse(&bytes).expect("container parses");
-    let sections: Vec<(u16, usize, usize)> = container
-        .sections()
+    let sections: Vec<(u16, usize, usize)> = SectionTable::parse(&bytes)
+        .expect("container parses")
+        .entries()
         .iter()
-        .map(|s| (s.kind, s.offset, s.payload.len()))
+        .map(|e| (e.kind, e.offset, e.len))
         .collect();
-    drop(container);
     assert_eq!(sections.len(), 3, "dictionary, trajectories, multifault");
 
     for &(kind, offset, len) in &sections {
@@ -108,20 +95,19 @@ fn per_section_corruption_is_attributed_to_the_right_section() {
 fn unknown_sections_are_skipped_losslessly() {
     let bank = paper_bank_with_multifault(1.0);
     let bytes = bank.to_bytes();
-    let container = Container::parse(&bytes).expect("container parses");
+    let table = SectionTable::parse(&bytes).expect("container parses");
 
     // Rebuild the container with an unknown section spliced between the
     // known ones — a future format extension this reader predates.
     let mut builder = ContainerBuilder::new();
-    for (i, s) in container.sections().iter().enumerate() {
+    for (i, e) in table.entries().iter().enumerate() {
         if i == 1 {
             builder.push_section(0x7abc, b"from-the-future".to_vec());
         }
-        builder.push_section(s.kind, s.payload.to_vec());
+        builder.push_section(e.kind, e.payload(&bytes).to_vec());
     }
     builder.push_section(0x7abd, Vec::new());
     let extended = builder.finish();
-    drop(container);
 
     let back = TrajectoryBank::from_bytes(&extended).expect("unknown sections skip");
     assert_eq!(back, bank, "skipping must not perturb the decoded bank");
@@ -193,7 +179,10 @@ fn store_routing_and_pool_match_per_bank_batches_at_1_2_8_workers() {
 fn mapped_and_heap_engines_diagnose_byte_identically() {
     // Property: for banks of varying shape (with/without multifault,
     // varying Q), the zero-copy mapped engine and the heap-decoding
-    // engine return bit-identical diagnoses on every path.
+    // engine return bit-identical diagnoses on every path. The
+    // committed v2 fixture, diagnosed through the heap decoder, must
+    // answer exactly like its v3 twin served mapped — the format
+    // migration costs no answer.
     let dir = std::env::temp_dir().join("serve_v2_mapped_parity");
     std::fs::create_dir_all(&dir).expect("dir");
     for (name, bank) in [
@@ -206,66 +195,59 @@ fn mapped_and_heap_engines_diagnose_byte_identically() {
     ] {
         let path = dir.join(format!("{name}.ftb"));
         bank.save(&path).expect("saves");
-        // The same bank in the v2 wire format: the zero-copy view only
-        // exists for v3, so this pins the format migration — a v2 shard
-        // and its v3 re-encode must serve identical answers on every
-        // engine path.
-        let v2_path = dir.join(format!("{name}.v2.ftb"));
-        std::fs::write(&v2_path, bank.to_bytes_v2()).expect("saves v2");
+        assert_mapped_matches_heap(name, &path, &path, bank.trajectory_set());
+    }
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/serve/tests/fixtures");
+    let v2 = std::path::PathBuf::from(format!("{fixtures}/q1_v2.ftb"));
+    let v3 = std::path::PathBuf::from(format!("{fixtures}/q1_v3.ftb"));
+    let bank = TrajectoryBank::load(&v3).expect("v3 fixture loads");
+    assert_mapped_matches_heap("q1_v2 fixture", &v2, &v3, bank.trajectory_set());
+    std::fs::remove_dir_all(&dir).ok();
+}
 
-        let heap = DiagnosisEngine::load(&path, EngineConfig::default()).expect("heap load");
-        let mapped =
-            DiagnosisEngine::load_mapped(&path, EngineConfig::default()).expect("mapped load");
-        let mapped_v2 =
-            DiagnosisEngine::load_mapped(&v2_path, EngineConfig::default()).expect("v2 mapped");
-        assert!(mapped.bank().is_none(), "mapped engine holds no heap bank");
+/// Diagnoses jittered queries through a heap engine over `heap_path`
+/// and a mapped engine over `mapped_path` (the same bank, possibly in
+/// another format) and asserts every path answers identically.
+fn assert_mapped_matches_heap(
+    name: &str,
+    heap_path: &std::path::Path,
+    mapped_path: &std::path::Path,
+    set: &fault_trajectory::core::TrajectorySet,
+) {
+    let heap = DiagnosisEngine::load(heap_path, EngineConfig::default()).expect("heap load");
+    let mapped =
+        DiagnosisEngine::load_mapped(mapped_path, EngineConfig::default()).expect("mapped load");
+    assert!(mapped.bank().is_none(), "mapped engine holds no heap bank");
+    if heap_path == mapped_path {
         assert_eq!(
             heap.generation(),
             mapped.generation(),
             "same file generation"
         );
-        assert!(
-            mapped.trajectory_set().is_packed(),
-            "v3 shard must be viewed in place on `{name}`"
-        );
-        assert!(
-            !mapped_v2.trajectory_set().is_packed(),
-            "v2 shard has no viewable payload"
-        );
-
-        let queries = synthetic_queries(bank.trajectory_set(), 23, 42);
-        let reference = heap.diagnose_batch(&queries);
-        assert_eq!(
-            reference,
-            mapped.diagnose_batch(&queries),
-            "indexed batch diverged on `{name}`"
-        );
-        assert_eq!(
-            reference,
-            mapped_v2.diagnose_batch(&queries),
-            "v2-mapped indexed batch diverged on `{name}`"
-        );
-        assert_eq!(
-            heap.diagnose_batch_linear(&queries),
-            mapped.diagnose_batch_linear(&queries),
-            "linear batch diverged on `{name}`"
-        );
-        assert_eq!(
-            heap.diagnose_batch_linear(&queries),
-            mapped_v2.diagnose_batch_linear(&queries),
-            "v2-mapped linear batch diverged on `{name}`"
-        );
-        for q in &queries {
-            let want = heap.diagnose(q);
-            assert_eq!(want, mapped.diagnose(q), "single diverged on `{name}`");
-            assert_eq!(
-                want,
-                mapped_v2.diagnose(q),
-                "v2-mapped single diverged on `{name}`"
-            );
-        }
     }
-    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        mapped.trajectory_set().is_packed(),
+        "v3 shard must be viewed in place on `{name}`"
+    );
+
+    let queries = synthetic_queries(set, 23, 42);
+    assert_eq!(
+        heap.diagnose_batch(&queries),
+        mapped.diagnose_batch(&queries),
+        "indexed batch diverged on `{name}`"
+    );
+    assert_eq!(
+        heap.diagnose_batch_linear(&queries),
+        mapped.diagnose_batch_linear(&queries),
+        "linear batch diverged on `{name}`"
+    );
+    for q in &queries {
+        assert_eq!(
+            heap.diagnose(q),
+            mapped.diagnose(q),
+            "single diverged on `{name}`"
+        );
+    }
 }
 
 #[test]
@@ -276,13 +258,12 @@ fn mapped_open_defers_corruption_outside_the_hot_section() {
     // moment the damaged section is decoded.
     let bank = paper_bank_with_multifault(1.0);
     let bytes = bank.to_bytes();
-    let container = Container::parse(&bytes).expect("container parses");
-    let sections: Vec<(u16, usize, usize)> = container
-        .sections()
+    let sections: Vec<(u16, usize, usize)> = SectionTable::parse(&bytes)
+        .expect("container parses")
+        .entries()
         .iter()
-        .map(|s| (s.kind, s.offset, s.payload.len()))
+        .map(|e| (e.kind, e.offset, e.len))
         .collect();
-    drop(container);
 
     let dir = std::env::temp_dir().join("serve_v2_mapped_lazy_corruption");
     std::fs::create_dir_all(&dir).expect("dir");
