@@ -12,7 +12,7 @@
 //! one number.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ft_bench::paper_setup;
@@ -186,7 +186,6 @@ fn emit_summary(_c: &mut Criterion) {
         &net_registry,
         NetConfig {
             workers,
-            refresh_interval: Duration::ZERO,
             ..NetConfig::default()
         },
     )

@@ -8,15 +8,14 @@
 //!   signatures for requested or random faults (or read pre-measured
 //!   signatures with `--requests`), answer them in a batch.
 //! * `ftd serve` — the sharded front-end: a directory of banks keyed by
-//!   CUT id, a request stream on stdin, diagnoses on stdout, served by
-//!   a persistent worker pool.
+//!   CUT id, a request stream on stdin (or TCP with `--listen`),
+//!   diagnoses on stdout, served by a persistent worker pool; metrics
+//!   go to a Prometheus text file with `--stats-file`.
 //! * `ftd gen-requests` — mint a deterministic request file near a
 //!   bank's trajectories (smoke tests, load generators).
 //! * `ftd bank-info` — inspect a bank container: format version,
 //!   section table with per-section payload bytes and checksum status,
 //!   entry counts.
-//! * `ftd stats` — pretty-print a stats file written by
-//!   `ftd serve --stats-file` (greppable text or Prometheus exposition).
 //! * `ftd bench-scan-vs-index` — measure the spatial index against the
 //!   linear scan on a production-scale synthetic bank.
 //!
@@ -42,7 +41,7 @@ use crate::bank::{MappedBank, TrajectoryBank};
 use crate::codec::{section_name, SectionTable, BANK_VERSION};
 use crate::engine::{diagnose_batch_topk_with, diagnose_batch_with, DiagnosisEngine, EngineConfig};
 use crate::index::SegmentIndex;
-use crate::obs::{MetricsRegistry, Snapshot};
+use crate::obs::MetricsRegistry;
 use crate::pool::ServeHandle;
 use crate::store::{BankStore, DiagnosisRequest, StoreConfig};
 use crate::synthetic::{synthetic_circuit_bank, synthetic_queries, synthetic_trajectory_set};
@@ -60,14 +59,12 @@ USAGE:
                [--linear | --topk K]
   ftd serve --banks DIR [--workers N] [--batch N] [--topk K]
             [--mem-budget BYTES[K|M|G]] [--stat-interval-ms N]
-            [--stats-file PATH] [--stats-every N]
-            [--listen ADDR] [--refresh-ms N] [--max-inflight N]
+            [--stats-file PATH] [--listen ADDR] [--max-inflight N]
             [--write-highwater BYTES[K|M|G]]
   ftd loadgen --connect ADDR --requests FILE [--connections N]
             [--depth N] [--total N] [--out PATH] [--json PATH] [--stats]
   ftd gen-requests --bank PATH --cut-id ID [--count N] [--seed N]
   ftd bank-info [--mapped] PATH
-  ftd stats [--prometheus] FILE
   ftd bench-scan-vs-index [--components N] [--points N] [--dim D]
                [--queries N] [--seed N] [--workers N] [--leaf N]
                [--topk K] [--circuit-order N] [--segments N[,N...]]
@@ -116,19 +113,18 @@ SUBCOMMANDS:
                        whole LRU shards only after that (evicted state
                        reloads on demand; results are unchanged).
                        --stat-interval-ms throttles the per-hit stat(2)
-                       generation probe: 0 (default) checks every hit,
-                       N>0 trusts a confirmed shard for N ms (a rebuilt
-                       shard is picked up within that window).
-                       --stats-file snapshots serving metrics (qps,
-                       latency histograms, shard cache hit rate) to a
-                       JSON file on exit — and every N requests with
-                       --stats-every; a `!stats` request line prints a
-                       one-shot snapshot to stderr. Metrics never change
-                       diagnosis output; without --stats-file nothing is
-                       recorded at all. --topk K serves every request
-                       through the top-k early-termination query path;
-                       output lines stay byte-identical to a full-ranking
-                       server.
+                       generation probe: 0 (stdin default) checks every
+                       hit, N>0 trusts a confirmed shard for N ms (a
+                       rebuilt shard is picked up within that window;
+                       --listen defaults to 1000).
+                       --stats-file writes serving metrics (counters,
+                       gauges, latency histograms) to PATH on exit in
+                       the Prometheus text exposition format. Metrics
+                       never change diagnosis output; without
+                       --stats-file (or --listen) nothing is recorded at
+                       all. --topk K serves every request through the
+                       top-k early-termination query path; output lines
+                       stay byte-identical to a full-ranking server.
                        With --listen ADDR the same shard directory is
                        served over TCP instead of stdin: a non-blocking
                        poll(2) event loop speaking length-prefixed,
@@ -136,9 +132,8 @@ SUBCOMMANDS:
                        per-connection pipelining (responses in request
                        order), bounded backpressure (--max-inflight
                        requests in flight and --write-highwater unsent
-                       bytes per connection), periodic shard refresh
-                       every --refresh-ms (0 disables), and graceful
-                       drain on SIGINT/SIGTERM: stop accepting, answer
+                       bytes per connection), and graceful drain on
+                       SIGINT/SIGTERM: stop accepting, answer
                        everything in flight, flush, exit 0. Response
                        lines are byte-identical to stdin serve. Listen
                        mode always keeps live metrics (a stats frame
@@ -165,11 +160,6 @@ SUBCOMMANDS:
                        trajectories are viewed in place, the other
                        sections decode lazily, and how many bytes a
                        fresh open pins.
-  stats                Read a --stats-file snapshot and print it as
-                       greppable `name value` lines (counters, gauges,
-                       histogram count/sum/mean/p50/p90/p99, derived
-                       qps and shard cache hit rate) — or as the
-                       Prometheus text exposition with --prometheus.
   bench-scan-vs-index  Time the linear scan against the flat
                        SIMD-friendly index and the top-k
                        early-termination path (K from --topk, default 5)
@@ -210,7 +200,6 @@ pub fn main_from_args(args: Vec<String>) -> i32 {
         "loadgen" => loadgen(rest),
         "gen-requests" => gen_requests(rest),
         "bank-info" => bank_info(rest),
-        "stats" => stats(rest),
         "bench-scan-vs-index" => bench_scan_vs_index(rest),
         other => {
             eprintln!("ftd: unknown subcommand `{other}`\n");
@@ -681,6 +670,9 @@ fn parse_mem_budget(raw: &str) -> Result<u64, CliError> {
         .ok_or_else(|| usage(format!("--mem-budget `{raw}` overflows u64")))
 }
 
+/// The per-hit stat(2) interval `serve --listen` defaults to.
+const LISTEN_STAT_INTERVAL_MS: u64 = 1000;
+
 fn serve(args: &[String]) -> Result<(), CliError> {
     let mut banks: Option<String> = None;
     let mut workers: Option<usize> = None;
@@ -688,10 +680,8 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     let mut topk: Option<usize> = None;
     let mut mem_budget: Option<u64> = None;
     let mut stats_file: Option<String> = None;
-    let mut stats_every: Option<usize> = None;
     let mut stat_interval_ms: Option<u64> = None;
     let mut listen: Option<String> = None;
-    let mut refresh_ms = 1000u64;
     let mut max_inflight = 128usize;
     let mut write_highwater = 1usize << 20;
     let mut flags = Flags::new(args);
@@ -703,10 +693,8 @@ fn serve(args: &[String]) -> Result<(), CliError> {
             "--topk" => topk = Some(flags.parse("--topk")?),
             "--mem-budget" => mem_budget = Some(parse_mem_budget(flags.value("--mem-budget")?)?),
             "--stats-file" => stats_file = Some(flags.value("--stats-file")?.to_string()),
-            "--stats-every" => stats_every = Some(flags.parse("--stats-every")?),
             "--stat-interval-ms" => stat_interval_ms = Some(flags.parse("--stat-interval-ms")?),
             "--listen" => listen = Some(flags.value("--listen")?.to_string()),
-            "--refresh-ms" => refresh_ms = flags.parse("--refresh-ms")?,
             "--max-inflight" => max_inflight = flags.parse("--max-inflight")?,
             "--write-highwater" => {
                 write_highwater = parse_mem_budget(flags.value("--write-highwater")?)?
@@ -722,15 +710,6 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     }
     if topk == Some(0) {
         return Err(usage("--topk must be at least 1"));
-    }
-    if stats_every.is_some() && stats_file.is_none() {
-        return Err(usage("--stats-every needs --stats-file PATH"));
-    }
-    if stats_every == Some(0) {
-        return Err(usage("--stats-every must be positive"));
-    }
-    if listen.is_some() && stats_every.is_some() {
-        return Err(usage("--stats-every applies to stdin serving only"));
     }
     if max_inflight == 0 {
         return Err(usage("--max-inflight must be positive"));
@@ -757,10 +736,15 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     } else {
         MetricsRegistry::noop()
     });
-    // TCP serving reloads changed shards from the periodic refresh
-    // sweep, so the per-hit stat(2) probe defaults off (one refresh
-    // interval of staleness); stdin serving keeps probing per hit.
-    let default_stat_interval = if listen.is_some() { refresh_ms } else { 0 };
+    // TCP serving trusts a confirmed shard generation for a second, so
+    // the request hot path stays off stat(2) and a changed file reloads
+    // within that second on the pool worker that next touches it;
+    // stdin serving keeps probing per hit.
+    let default_stat_interval = if listen.is_some() {
+        LISTEN_STAT_INTERVAL_MS
+    } else {
+        0
+    };
     let store_config = StoreConfig {
         mem_budget,
         min_stat_interval: std::time::Duration::from_millis(
@@ -785,7 +769,6 @@ fn serve(args: &[String]) -> Result<(), CliError> {
                 workers,
                 max_inflight,
                 write_highwater,
-                refresh_interval: std::time::Duration::from_millis(refresh_ms),
                 ..crate::net::NetConfig::default()
             },
             stats_file.as_deref(),
@@ -801,10 +784,6 @@ fn serve(args: &[String]) -> Result<(), CliError> {
         },
     );
     let mut handle = ServeHandle::with_metrics(store, workers, &registry);
-    let write_stats = |path: &str| -> Result<(), CliError> {
-        std::fs::write(path, registry.snapshot().to_json())
-            .map_err(|e| runtime(format!("stats file {path}: {e}")))
-    };
 
     // Requests stream in on stdin and pipeline through the pool in
     // --batch chunks: while one batch is in flight the next is being
@@ -813,25 +792,23 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     let stdin = std::io::stdin();
     let mut cuts: Vec<String> = Vec::new();
     let mut chunk: Vec<DiagnosisRequest> = Vec::with_capacity(batch);
-    // Cells (not plain counters): the print closure and the periodic
-    // stats writer in the stream loop both live across the whole loop.
-    let served = std::cell::Cell::new(0usize);
-    let errors = std::cell::Cell::new(0usize);
+    let mut served = 0usize;
+    let mut errors = 0usize;
     let stdout = std::io::stdout();
     // Write failures surface as results, not panics: a downstream
     // `| head` closing the pipe must stop the stream cleanly.
-    let print_batch =
+    let mut print_batch =
         |cuts: &mut Vec<String>, results: Vec<crate::pool::ServeResult>| -> std::io::Result<()> {
             use std::io::Write;
             let mut out = stdout.lock();
             for (cut, result) in cuts.drain(..).zip(results) {
-                served.set(served.get() + 1);
+                served += 1;
                 match result {
                     Ok(diagnosis) => {
                         writeln!(out, "{}", render_diagnosis_line(&cut, &diagnosis))?;
                     }
                     Err(e) => {
-                        errors.set(errors.get() + 1);
+                        errors += 1;
                         writeln!(out, "{cut}\terror\t{e}")?;
                     }
                 }
@@ -848,19 +825,8 @@ fn serve(args: &[String]) -> Result<(), CliError> {
         }
     };
     let mut in_flight: std::collections::VecDeque<Vec<String>> = std::collections::VecDeque::new();
-    let mut stats_written_at = 0usize;
     'stream: for (i, line) in stdin.lock().lines().enumerate() {
         let line = line.map_err(|e| runtime(format!("stdin: {e}")))?;
-        // `!stats` is an in-band control line, not a request: print a
-        // one-shot snapshot to stderr (stdout stays pure diagnoses).
-        if line.trim() == "!stats" {
-            if registry.is_enabled() {
-                eprint!("{}", registry.snapshot().render_text());
-            } else {
-                eprintln!("ftd serve: metrics disabled (run with --stats-file); !stats ignored");
-            }
-            continue;
-        }
         let Some(req) = parse_request_line(&line, i + 1)? else {
             continue;
         };
@@ -882,14 +848,6 @@ fn serve(args: &[String]) -> Result<(), CliError> {
                     }
                 }
             }
-            // Periodic snapshots land on batch boundaries: close enough
-            // to "every N requests" without a write on the hot path.
-            if let (Some(path), Some(every)) = (&stats_file, stats_every) {
-                if served.get() - stats_written_at >= every {
-                    write_stats(path)?;
-                    stats_written_at = served.get();
-                }
-            }
         }
     }
     if !chunk.is_empty() {
@@ -907,23 +865,25 @@ fn serve(args: &[String]) -> Result<(), CliError> {
         }
     }
     if let Some(path) = &stats_file {
-        write_stats(path)?;
-        eprintln!("wrote stats snapshot to `{path}`");
+        write_stats(path, &registry)?;
     }
     eprintln!(
-        "served {} requests ({} errors) across {} loaded shards in {:.2?}",
-        served.get(),
-        errors.get(),
+        "served {served} requests ({errors} errors) across {} loaded shards in {:.2?}",
         handle.store().loaded_count(),
         started.elapsed(),
     );
-    if errors.get() > 0 {
-        return Err(runtime(format!(
-            "{} of {} requests failed",
-            errors.get(),
-            served.get()
-        )));
+    if errors > 0 {
+        return Err(runtime(format!("{errors} of {served} requests failed")));
     }
+    Ok(())
+}
+
+/// Writes `registry`'s snapshot to `path` as Prometheus text — the one
+/// `--stats-file` sink of both serving modes.
+fn write_stats(path: &str, registry: &MetricsRegistry) -> Result<(), CliError> {
+    std::fs::write(path, registry.snapshot().to_prometheus())
+        .map_err(|e| runtime(format!("stats file {path}: {e}")))?;
+    eprintln!("wrote stats snapshot to `{path}`");
     Ok(())
 }
 
@@ -943,16 +903,14 @@ fn serve_listen(
     crate::net::install_signal_drain(&server.shutdown_handle());
     eprintln!(
         "listening on {bound}: shard directory with {cuts_on_disk} CUTs on disk, \
-         {} workers, {} in-flight requests and {} unsent bytes per connection, \
-         shard refresh every {:?} (SIGINT/SIGTERM drains)",
-        config.workers, config.max_inflight, config.write_highwater, config.refresh_interval,
+         {} workers, {} in-flight requests and {} unsent bytes per connection \
+         (SIGINT/SIGTERM drains)",
+        config.workers, config.max_inflight, config.write_highwater,
     );
     let started = Instant::now();
     let summary = server.run().map_err(runtime)?;
     if let Some(path) = stats_file {
-        std::fs::write(path, registry.snapshot().to_json())
-            .map_err(|e| runtime(format!("stats file {path}: {e}")))?;
-        eprintln!("wrote stats snapshot to `{path}`");
+        write_stats(path, &registry)?;
     }
     eprintln!(
         "drained: {} connections accepted, {} requests served ({} error lines, \
@@ -1062,31 +1020,6 @@ fn loadgen(args: &[String]) -> Result<(), CliError> {
     }
     if stats {
         print!("{}", crate::net::fetch_stats(&connect).map_err(runtime)?);
-    }
-    Ok(())
-}
-
-/// The `ftd stats` subcommand: reads a snapshot JSON written by
-/// `ftd serve --stats-file` and pretty-prints it — greppable
-/// `name value` text by default, the Prometheus exposition format with
-/// `--prometheus`.
-fn stats(args: &[String]) -> Result<(), CliError> {
-    let (prometheus, path) = match args {
-        [path] => (false, path),
-        [a, path] | [path, a] if a == "--prometheus" => (true, path),
-        _ => {
-            return Err(usage(
-                "stats takes one FILE argument (plus optional --prometheus)",
-            ))
-        }
-    };
-    let text = std::fs::read_to_string(path).map_err(|e| runtime(format!("{path}: {e}")))?;
-    let snapshot = Snapshot::from_json(&text)
-        .map_err(|e| runtime(format!("{path}: not a stats file: {e}")))?;
-    if prometheus {
-        print!("{}", snapshot.to_prometheus());
-    } else {
-        print!("{}", snapshot.render_text());
     }
     Ok(())
 }
@@ -1984,44 +1917,6 @@ mod tests {
                 "rendered lines diverged"
             );
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn stats_subcommand_round_trips_a_snapshot() {
-        let dir = std::env::temp_dir().join("ftd_cli_stats_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stats.json");
-        let registry = MetricsRegistry::new();
-        registry.counter("serve_requests_total").add(7);
-        registry.histogram("serve_request_latency_us").record(300);
-        std::fs::write(&path, registry.snapshot().to_json()).unwrap();
-        let path_str = path.to_string_lossy().to_string();
-
-        assert_eq!(main_from_args(vec!["stats".into(), path_str.clone()]), 0);
-        assert_eq!(
-            main_from_args(vec![
-                "stats".into(),
-                "--prometheus".into(),
-                path_str.clone()
-            ]),
-            0
-        );
-        // Malformed input is a runtime error, a missing arg a usage one.
-        std::fs::write(&path, "not a stats file").unwrap();
-        assert_eq!(main_from_args(vec!["stats".into(), path_str]), 1);
-        assert_eq!(main_from_args(vec!["stats".into()]), 2);
-        // --stats-every without --stats-file is rejected up front.
-        assert_eq!(
-            main_from_args(vec![
-                "serve".into(),
-                "--banks".into(),
-                "/tmp".into(),
-                "--stats-every".into(),
-                "10".into(),
-            ]),
-            2
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -31,8 +31,8 @@
 //!   worker count.
 //! * [`MetricsRegistry`] ([`obs`]) — hand-rolled serving observability:
 //!   lock-free counters, gauges, and log₂-bucket latency histograms
-//!   over the engine, store, and pool, snapshotted to JSON, greppable
-//!   text, or Prometheus exposition — and provably inert when disabled.
+//!   over the engine, store, and pool, exported as Prometheus text
+//!   exposition — and provably inert when disabled.
 //! * [`NetServer`] ([`net`]) — the non-blocking TCP serving tier: one
 //!   hand-rolled `poll(2)` readiness loop on every unix speaking a
 //!   length-prefixed, checksummed frame protocol, with per-connection
@@ -40,8 +40,8 @@
 //!   matching pipelined load generator ([`run_loadgen`]). Its answers
 //!   are byte-identical to stdin `ftd serve`, the oracle.
 //! * the `ftd` binary ([`cli`]) — `build-bank`, `diagnose`, `serve`
-//!   (stdin or `--listen`), `loadgen`, `gen-requests`, `bank-info`,
-//!   `stats`, and `bench-scan-vs-index` front ends over the same API.
+//!   (stdin or `--listen`), `loadgen`, `gen-requests`, `bank-info`, and
+//!   `bench-scan-vs-index` front ends over the same API.
 //!
 //! ## Example
 //!
@@ -114,7 +114,5 @@ pub use obs::{
     HistogramSnapshot, MetricsRegistry, NetMetrics, PoolMetrics, Snapshot, SpanTimer, StoreMetrics,
 };
 pub use pool::{BatchId, ServeHandle, ServeResult};
-pub use store::{
-    diagnose_on, valid_cut_id, BankStore, DiagnosisRequest, RefreshSummary, StoreConfig, StoreError,
-};
+pub use store::{diagnose_on, valid_cut_id, BankStore, DiagnosisRequest, StoreConfig, StoreError};
 pub use synthetic::{synthetic_circuit_bank, synthetic_queries, synthetic_trajectory_set};

@@ -463,9 +463,6 @@ pub struct NetConfig {
     /// Per-connection unsent-bytes high-water mark with the same
     /// effect: a peer that stops reading stalls its own connection.
     pub write_highwater: usize,
-    /// Period of the [`BankStore::refresh`] timer tick;
-    /// [`Duration::ZERO`] disables the tick.
-    pub refresh_interval: Duration,
     /// How long a graceful drain waits for connections to finish
     /// before force-closing them.
     pub drain_deadline: Duration,
@@ -477,7 +474,6 @@ impl Default for NetConfig {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
             max_inflight: 128,
             write_highwater: 1 << 20,
-            refresh_interval: Duration::from_secs(1),
             drain_deadline: Duration::from_secs(10),
         }
     }
@@ -766,8 +762,6 @@ mod reactor {
         let mut listener = Some(listener);
         let mut draining = false;
         let mut deadline: Option<Instant> = None;
-        let mut next_refresh = (config.refresh_interval > Duration::ZERO)
-            .then(|| Instant::now() + config.refresh_interval);
         // Rebuilt every turn from the wake socket, the listener, and each
         // connection's wanted interest; `tokens[i]` owns `fds[i]`.
         let mut fds: Vec<PollFd> = Vec::new();
@@ -777,7 +771,6 @@ mod reactor {
             if shutdown.is_shutdown() && !draining {
                 draining = true;
                 deadline = Some(Instant::now() + config.drain_deadline);
-                next_refresh = None;
                 if let Some(l) = listener.take() {
                     // Connections whose handshake already completed sit
                     // in the accept backlog; closing the listener would
@@ -790,13 +783,9 @@ mod reactor {
                 break;
             }
 
-            let now = Instant::now();
-            let mut timeout: Option<Duration> =
-                next_refresh.map(|t| t.saturating_duration_since(now));
-            if let Some(d) = deadline {
-                let until = d.saturating_duration_since(now);
-                timeout = Some(timeout.map_or(until, |t| t.min(until)));
-            }
+            // Only a drain deadline bounds the wait; every other event
+            // (a peer, a completion, a signal) arrives as readiness.
+            let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
             fds.clear();
             tokens.clear();
             fds.push(PollFd::new(wake.rx.as_raw_fd(), POLLIN));
@@ -841,15 +830,6 @@ mod reactor {
                 lp.pump(token);
             }
 
-            if let Some(t) = next_refresh {
-                if Instant::now() >= t {
-                    lp.handle.store().refresh();
-                    if let Some(m) = &lp.metrics {
-                        m.refresh_ticks.inc();
-                    }
-                    next_refresh = Some(Instant::now() + config.refresh_interval);
-                }
-            }
             if draining {
                 if let Some(d) = deadline {
                     if Instant::now() >= d && !lp.conns.is_empty() {

@@ -1,6 +1,6 @@
 //! Serving-stack observability: lock-free counters, gauges, log₂-bucket
-//! latency histograms, RAII span timers, and snapshot export as JSON,
-//! Prometheus text exposition, and greppable `name value` lines.
+//! latency histograms, RAII span timers, and snapshot export in one
+//! format: the Prometheus text exposition ([`Snapshot::to_prometheus`]).
 //!
 //! Everything is hand-rolled over `std::sync::atomic` (the vendored
 //! environment has no metrics crates) and designed around two hard
@@ -17,10 +17,9 @@
 //!   snapshot time, never per request.
 //!
 //! Histograms bucket microsecond values by log₂: bucket 0 holds the
-//! value 0, bucket *i* ≥ 1 holds `[2^(i−1), 2^i)`. Quantiles are read
-//! back from the bucket counts by rank walk with linear interpolation
-//! inside the bucket, so a reported p99 is always bounded by the edges
-//! of the bucket containing the true p99 — exact to bucket resolution.
+//! value 0, bucket *i* ≥ 1 holds `[2^(i−1), 2^i)`. The exposition
+//! carries every nonzero bucket as a cumulative `_bucket{le}` series, so
+//! a consumer reads quantiles back to bucket resolution.
 //!
 //! The per-layer handle bundles ([`EngineMetrics`], [`StoreMetrics`],
 //! [`PoolMetrics`]) pre-resolve every hot-path handle once at
@@ -184,8 +183,7 @@ impl Histogram {
     }
 }
 
-/// Point-in-time histogram state; quantiles and means are computed here
-/// so a snapshot persisted as JSON reads back identically.
+/// Point-in-time histogram state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts, `HISTOGRAM_BUCKETS` entries.
@@ -194,45 +192,6 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Sum of all recorded values (saturating).
     pub sum: u64,
-}
-
-impl HistogramSnapshot {
-    /// The `q`-quantile (`q` in `[0, 1]`), estimated by rank walk over
-    /// the bucket counts with linear interpolation inside the bucket.
-    /// The result is always within the inclusive bounds of the bucket
-    /// containing the rank; returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cumulative = 0u64;
-        for (index, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if cumulative + n >= rank {
-                let (lower, upper) = bucket_bounds(index);
-                if index == 0 {
-                    return 0.0;
-                }
-                let within = (rank - cumulative) as f64 / n as f64;
-                let (lower, upper) = (lower as f64, upper as f64);
-                return (lower + (upper - lower) * within).clamp(lower, upper);
-            }
-            cumulative += n;
-        }
-        bucket_bounds(HISTOGRAM_BUCKETS - 1).1 as f64
-    }
-
-    /// Mean of all recorded values; 0 for an empty histogram.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 /// RAII timing guard: records the elapsed time into its histogram (as
@@ -302,7 +261,6 @@ pub fn labeled(name: &str, labels: &[(&str, &str)]) -> String {
 #[derive(Debug)]
 pub struct MetricsRegistry {
     enabled: bool,
-    started: Instant,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
@@ -318,7 +276,6 @@ impl MetricsRegistry {
     fn with_enabled(enabled: bool) -> MetricsRegistry {
         MetricsRegistry {
             enabled,
-            started: Instant::now(),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
@@ -339,12 +296,6 @@ impl MetricsRegistry {
     /// `false` for a [`MetricsRegistry::noop`] registry.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Time since the registry was created — the denominator for rate
-    /// metrics like qps.
-    pub fn uptime(&self) -> Duration {
-        self.started.elapsed()
     }
 
     /// The counter registered under `name`, registering it if new.
@@ -382,7 +333,6 @@ impl MetricsRegistry {
             self.counter("core_interp_pool_allocs_total").set(allocs);
         }
         Snapshot {
-            uptime_s: self.started.elapsed().as_secs_f64(),
             counters: lock(&self.counters)
                 .iter()
                 .map(|(name, c)| (name.clone(), c.get()))
@@ -399,12 +349,12 @@ impl MetricsRegistry {
     }
 }
 
-/// A point-in-time export of a registry: what `--stats-file` writes (as
-/// JSON), `!stats` prints (as text), and `ftd stats` reads back.
+/// A point-in-time export of a registry. Its one wire format is the
+/// Prometheus text exposition ([`Snapshot::to_prometheus`]), which both
+/// `ftd serve --stats-file` (at exit) and the TCP stats frame (live)
+/// emit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    /// Registry uptime in seconds at snapshot time.
-    pub uptime_s: f64,
     /// `(name, value)` for every counter, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// `(name, value)` for every gauge, sorted by name.
@@ -435,201 +385,11 @@ impl Snapshot {
             .map(|(_, h)| h)
     }
 
-    /// Values derived from the raw series: requests per second and the
-    /// shard-cache hit rate, when their inputs are present.
-    pub fn derived(&self) -> Vec<(&'static str, f64)> {
-        let mut out = Vec::new();
-        if let Some(requests) = self.counter("serve_requests_total") {
-            if self.uptime_s > 0.0 {
-                out.push(("qps", requests as f64 / self.uptime_s));
-            }
-        }
-        if let (Some(hits), Some(misses)) = (
-            self.counter("store_shard_cache_hits_total"),
-            self.counter("store_shard_cache_misses_total"),
-        ) {
-            if hits + misses > 0 {
-                out.push(("shard_cache_hit_rate", hits as f64 / (hits + misses) as f64));
-            }
-        }
-        out
-    }
-
-    /// Serializes the snapshot as a single JSON object. Histogram
-    /// buckets are `[inclusive_lower_edge_us, count]` pairs for the
-    /// nonzero buckets only (lower edges are powers of two, exactly
-    /// representable as JSON numbers), alongside precomputed
-    /// `count`/`sum`/`mean`/`p50`/`p90`/`p99`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"uptime_s\": {},\n", json_f64(self.uptime_s)));
-        out.push_str("  \"derived\": {");
-        for (i, (name, value)) in self.derived().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{name}\": {}", json_f64(*value)));
-        }
-        out.push_str("},\n");
-        out.push_str("  \"counters\": {");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {value}", json_escape(name)));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {value}", json_escape(name)));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (name, hist)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"mean\": {}, \
-                 \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [",
-                json_escape(name),
-                hist.count,
-                hist.sum,
-                json_f64(hist.mean()),
-                json_f64(hist.quantile(0.50)),
-                json_f64(hist.quantile(0.90)),
-                json_f64(hist.quantile(0.99)),
-            ));
-            let mut first = true;
-            for (index, &n) in hist.buckets.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                out.push_str(&format!("[{}, {n}]", bucket_bounds(index).0));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n  }\n}\n");
-        out
-    }
-
-    /// Parses a snapshot previously written by [`Snapshot::to_json`].
-    /// Quantiles are recomputed from the bucket counts, so the render
-    /// matches a live snapshot exactly.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first structural problem found.
-    pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        let root = parse_json(text)?;
-        let obj = root.as_object().ok_or("top level is not an object")?;
-        let uptime_s = get(obj, "uptime_s")
-            .and_then(Json::as_f64)
-            .ok_or("missing numeric \"uptime_s\"")?;
-        let mut counters = Vec::new();
-        for (name, value) in get(obj, "counters")
-            .and_then(Json::as_object)
-            .ok_or("missing object \"counters\"")?
-        {
-            let v = value.as_f64().ok_or("non-numeric counter value")?;
-            counters.push((name.clone(), v as u64));
-        }
-        let mut gauges = Vec::new();
-        for (name, value) in get(obj, "gauges")
-            .and_then(Json::as_object)
-            .ok_or("missing object \"gauges\"")?
-        {
-            let v = value.as_f64().ok_or("non-numeric gauge value")?;
-            gauges.push((name.clone(), v as i64));
-        }
-        let mut histograms = Vec::new();
-        for (name, value) in get(obj, "histograms")
-            .and_then(Json::as_object)
-            .ok_or("missing object \"histograms\"")?
-        {
-            let hist = value
-                .as_object()
-                .ok_or("histogram entry is not an object")?;
-            let sum = get(hist, "sum")
-                .and_then(Json::as_f64)
-                .ok_or("histogram missing numeric \"sum\"")? as u64;
-            let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
-            for pair in get(hist, "buckets")
-                .and_then(Json::as_array)
-                .ok_or("histogram missing array \"buckets\"")?
-            {
-                let pair = pair.as_array().ok_or("histogram bucket is not a pair")?;
-                let (lower, n) = match pair {
-                    [lower, n] => (
-                        lower.as_f64().ok_or("non-numeric bucket edge")? as u64,
-                        n.as_f64().ok_or("non-numeric bucket count")? as u64,
-                    ),
-                    _ => return Err("histogram bucket is not a pair".into()),
-                };
-                let index = if lower == 0 {
-                    0
-                } else if lower.is_power_of_two() {
-                    lower.ilog2() as usize + 1
-                } else {
-                    return Err(format!("bucket edge {lower} is not a power of two"));
-                };
-                buckets[index] = n;
-            }
-            let count = buckets.iter().sum();
-            histograms.push((
-                name.clone(),
-                HistogramSnapshot {
-                    buckets,
-                    count,
-                    sum,
-                },
-            ));
-        }
-        Ok(Snapshot {
-            uptime_s,
-            counters,
-            gauges,
-            histograms,
-        })
-    }
-
-    /// Renders greppable `name value` lines: uptime and derived values
-    /// first, then counters, gauges, and per-histogram
-    /// `_count`/`_sum`/`_mean`/`_p50`/`_p90`/`_p99` lines — the format
-    /// `!stats` prints to stderr and `ftd stats` prints to stdout.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("uptime_s {}\n", json_f64(self.uptime_s)));
-        for (name, value) in self.derived() {
-            out.push_str(&format!("{name} {}\n", json_f64(value)));
-        }
-        for (name, value) in &self.counters {
-            out.push_str(&format!("{name} {value}\n"));
-        }
-        for (name, value) in &self.gauges {
-            out.push_str(&format!("{name} {value}\n"));
-        }
-        for (name, hist) in &self.histograms {
-            out.push_str(&format!("{name}_count {}\n", hist.count));
-            out.push_str(&format!("{name}_sum {}\n", hist.sum));
-            out.push_str(&format!("{name}_mean {}\n", json_f64(hist.mean())));
-            for (label, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
-                out.push_str(&format!("{name}_{label} {}\n", json_f64(hist.quantile(q))));
-            }
-        }
-        out
-    }
-
     /// Renders the Prometheus text exposition format: `# TYPE` lines
     /// per metric family, histograms as cumulative `_bucket{le="…"}`
     /// series (inclusive upper edges in microseconds, then `+Inf`) plus
-    /// `_sum`/`_count`. Derived values are not exported — Prometheus
-    /// consumers compute rates themselves.
+    /// `_sum`/`_count`. No derived values (rates, ratios, quantiles) are
+    /// exported — consumers compute them from the raw series.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         let mut last_family = String::new();
@@ -662,249 +422,6 @@ impl Snapshot {
             out.push_str(&format!("{name}_count {}\n", hist.count));
         }
         out
-    }
-}
-
-/// Formats a float as a JSON-safe number (non-finite values render as
-/// 0, which JSON cannot represent otherwise).
-fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "0".to_string()
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader — just enough for `ftd stats` to load a snapshot
-// back (objects, arrays, strings with the common escapes, f64 numbers,
-// booleans, null). Hand-rolled because the vendored serde is a
-// marker-only shim.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut parser = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", parser.pos));
-    }
-    Ok(value)
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek()? == byte {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at offset {}",
-                byte as char, self.pos
-            ))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let byte = *self.bytes.get(self.pos).ok_or("unterminated string")?;
-            self.pos += 1;
-            match byte {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let escape = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.pos)),
-                    }
-                }
-                _ => {
-                    // Re-take the full UTF-8 character starting here.
-                    self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let ch = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at offset {start}"))
     }
 }
 
@@ -1113,9 +630,6 @@ pub struct NetMetrics {
     /// checksum-failed frames (also counted per peer IP and kind via
     /// labeled counters, bounded by [`MAX_PEER_LABELS`]).
     pub protocol_errors: Arc<Counter>,
-    /// `net_refresh_ticks_total` — periodic [`crate::BankStore::refresh`]
-    /// sweeps driven off the event-loop timer.
-    pub refresh_ticks: Arc<Counter>,
 }
 
 impl NetMetrics {
@@ -1132,7 +646,6 @@ impl NetMetrics {
             bytes_out: registry.counter("net_bytes_out_total"),
             backpressure_stalls: registry.counter("net_backpressure_stalls_total"),
             protocol_errors: registry.counter("net_protocol_errors_total"),
-            refresh_ticks: registry.counter("net_refresh_ticks_total"),
             registry: Arc::clone(registry),
             peer_labels: Arc::new(Mutex::new(BTreeSet::new())),
         }
@@ -1187,7 +700,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_count_and_quantiles() {
+    fn histogram_count_and_sum() {
         let hist = Histogram::default();
         for v in [0u64, 1, 5, 5, 9, 100, 1000] {
             hist.record(v);
@@ -1196,13 +709,6 @@ mod tests {
         assert_eq!(snap.count, 7);
         assert_eq!(snap.sum, 1120);
         assert_eq!(snap.buckets.iter().sum::<u64>(), snap.count);
-        // p50 rank 4 lands among the 5/5/9 values: bucket [4, 8).
-        let p50 = snap.quantile(0.5);
-        assert!((4.0..=7.0).contains(&p50), "p50 = {p50}");
-        // p99 rank 7 is the 1000 sample: bucket [512, 1024).
-        let p99 = snap.quantile(0.99);
-        assert!((512.0..=1023.0).contains(&p99), "p99 = {p99}");
-        assert_eq!(snap.quantile(0.0), 0.0);
     }
 
     #[test]
@@ -1247,8 +753,7 @@ mod tests {
     fn empty_histogram_is_quiet() {
         let snap = Histogram::default().snapshot();
         assert_eq!(snap.count, 0);
-        assert_eq!(snap.quantile(0.99), 0.0);
-        assert_eq!(snap.mean(), 0.0);
+        assert_eq!(snap.sum, 0);
     }
 
     #[test]
@@ -1305,58 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_json_round_trips() {
-        let registry = MetricsRegistry::new();
-        registry.counter("serve_requests_total").add(12);
-        registry
-            .counter(&labeled("pool_worker_jobs_total", &[("worker", "0")]))
-            .add(4);
-        registry.gauge("store_resident_bytes").set(4096);
-        let hist = registry.histogram("serve_request_latency_us");
-        for v in [0u64, 3, 17, 900, 70_000] {
-            hist.record(v);
-        }
-        let snap = registry.snapshot();
-        let parsed = Snapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(parsed.counters, snap.counters);
-        assert_eq!(parsed.gauges, snap.gauges);
-        assert_eq!(parsed.histograms, snap.histograms);
-        // The re-render is identical except for floating uptime.
-        let mut snap = snap;
-        snap.uptime_s = parsed.uptime_s;
-        assert_eq!(parsed.render_text(), snap.render_text());
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_input() {
-        assert!(Snapshot::from_json("").is_err());
-        assert!(Snapshot::from_json("{").is_err());
-        assert!(Snapshot::from_json("[1, 2]").is_err());
-        assert!(Snapshot::from_json("{\"uptime_s\": 1}").is_err());
-        assert!(Snapshot::from_json("not json at all").is_err());
-    }
-
-    #[test]
-    fn derived_values_and_text_render() {
-        let registry = MetricsRegistry::new();
-        registry.counter("serve_requests_total").add(10);
-        registry.counter("store_shard_cache_hits_total").add(8);
-        registry.counter("store_shard_cache_misses_total").add(2);
-        let snap = registry.snapshot();
-        let derived = snap.derived();
-        let rate = derived
-            .iter()
-            .find(|(name, _)| *name == "shard_cache_hit_rate")
-            .map(|&(_, v)| v)
-            .unwrap();
-        assert!((rate - 0.8).abs() < 1e-12);
-        let text = snap.render_text();
-        assert!(text.contains("serve_requests_total 10\n"));
-        assert!(text.contains("shard_cache_hit_rate 0.8\n"));
-        assert!(text.lines().all(|l| l.split_whitespace().count() == 2));
-    }
-
-    #[test]
     fn prometheus_exposition_shape() {
         let registry = MetricsRegistry::new();
         registry.counter("serve_requests_total").add(3);
@@ -1373,5 +826,77 @@ mod tests {
         assert!(text.contains("serve_request_latency_us_bucket{le=\"127\"} 2\n"));
         assert!(text.contains("serve_request_latency_us_bucket{le=\"+Inf\"} 2\n"));
         assert!(text.contains("serve_request_latency_us_count 2\n"));
+
+        // A labeled-only family and an unlabeled-plus-labeled one, and a
+        // second histogram, then check the exposition's structure.
+        let registry = Arc::new(registry);
+        let pool = PoolMetrics::from_registry(&registry);
+        pool.worker_jobs(0).add(2);
+        pool.worker_jobs(1).inc();
+        let net = NetMetrics::from_registry(&registry);
+        net.record_protocol_error("10.0.0.1:4000", "checksum");
+        net.record_protocol_error("10.0.0.2:4000", "oversized");
+        for v in [0u64, 1, 5, 5, 64] {
+            pool.batch_sizes.record(v);
+        }
+        let text = registry.snapshot().to_prometheus();
+        assert!(text.contains("pool_worker_jobs_total{worker=\"0\"} 2\n"));
+        assert!(text.contains("net_protocol_errors_total 2\n"));
+        assert!(
+            text.contains("net_protocol_errors_total{peer=\"10.0.0.2\",kind=\"oversized\"} 1\n")
+        );
+
+        let mut types: BTreeMap<&str, (&str, usize)> = BTreeMap::new();
+        let mut buckets: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
+        let mut inf: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
+        for (line_no, line) in text.lines().enumerate() {
+            if let Some(decl) = line.strip_prefix("# TYPE ") {
+                let (family, kind) = decl.split_once(' ').expect("TYPE names a kind");
+                let previous = types.insert(family, (kind, line_no));
+                assert!(previous.is_none(), "second TYPE line for {family}");
+                continue;
+            }
+            let (series, value) = line.rsplit_once(' ').expect("sample has a value");
+            let value: u64 = value.parse().expect("integer sample");
+            let name = series.split('{').next().unwrap();
+            let family = if types.contains_key(name) {
+                name
+            } else {
+                ["_bucket", "_sum", "_count"]
+                    .iter()
+                    .find_map(|suffix| name.strip_suffix(suffix))
+                    .filter(|f| types.get(f).is_some_and(|&(kind, _)| kind == "histogram"))
+                    .unwrap_or_else(|| panic!("sample `{line}` before its family's TYPE"))
+            };
+            assert!(types[family].1 < line_no);
+            if name.ends_with("_bucket") && family != name {
+                buckets.entry(family).or_default().push(value);
+                if series.ends_with("{le=\"+Inf\"}") {
+                    inf.insert(family, value);
+                }
+            } else if name.ends_with("_count") && family != name {
+                counts.insert(family, value);
+            }
+        }
+        for family in ["pool_worker_jobs_total", "net_protocol_errors_total"] {
+            assert_eq!(types.get(family).map(|t| t.0), Some("counter"), "{family}");
+        }
+        for (family, &(kind, _)) in &types {
+            if kind != "histogram" {
+                continue;
+            }
+            let series = &buckets[family];
+            assert!(
+                series.windows(2).all(|w| w[0] <= w[1]),
+                "{family}: {series:?}"
+            );
+            assert_eq!(
+                inf.get(family),
+                counts.get(family),
+                "{family}: +Inf != _count"
+            );
+        }
+        assert_eq!(counts.get("pool_batch_requests"), Some(&5));
     }
 }

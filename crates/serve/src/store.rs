@@ -193,7 +193,9 @@ pub struct StoreConfig {
     /// the historical stat-per-hit behavior; a serving deployment that
     /// tolerates a bounded reload delay can raise it to take the
     /// syscall off the hot path (a rebuilt shard is then picked up
-    /// within this interval rather than on the next request).
+    /// within this interval rather than on the next request, and its
+    /// reload runs on whichever thread resolves that request — a pool
+    /// worker under `ftd serve --listen`, which sets one second).
     pub min_stat_interval: Duration,
 }
 
@@ -596,12 +598,11 @@ impl BankStore {
 
     /// Removes `cut_id`'s slot if it still carries `generation` — the
     /// guard against retiring a slot a racing loader already swapped.
-    /// Returns whether a slot was actually removed.
-    fn retire_slot(&self, cut_id: &str, generation: FileGen) -> bool {
+    fn retire_slot(&self, cut_id: &str, generation: FileGen) {
         let mut map = self.lock_shards();
         match map.slots.get(cut_id) {
             Some(slot) if slot.generation == Some(generation) => {}
-            _ => return false,
+            _ => return,
         }
         let old = map.slots.remove(cut_id).expect("checked above");
         map.resident_bytes -= old.bytes;
@@ -611,73 +612,6 @@ impl BankStore {
         if let Some(m) = &self.metrics {
             m.resident_bytes.set(resident.min(i64::MAX as u64) as i64);
         }
-        true
-    }
-
-    /// Probes every file-backed resident shard once: unchanged
-    /// generations get their freshness window restarted, changed files
-    /// are reloaded and swapped in (hot reload), and shards whose file
-    /// is gone are retired — the batch counterpart of the per-hit probe
-    /// in [`BankStore::engine`].
-    ///
-    /// A front-end with an event loop (the TCP tier) calls this off a
-    /// periodic timer tick and sets [`StoreConfig::min_stat_interval`]
-    /// to the tick period, so the request hot path never touches
-    /// `stat(2)` while file swaps are still picked up within one tick.
-    /// The stdin serving path keeps its historical stat-per-hit
-    /// behavior. Pinned in-memory banks have no file and are skipped.
-    pub fn refresh(&self) -> RefreshSummary {
-        let mut summary = RefreshSummary::default();
-        let resident: Vec<(String, FileGen, bool)> = {
-            let map = self.lock_shards();
-            map.slots
-                .iter()
-                .filter_map(|(id, slot)| {
-                    slot.generation.map(|g| (id.clone(), g, slot.state.is_ok()))
-                })
-                .collect()
-        };
-        for (cut_id, generation, was_ok) in resident {
-            let Ok(path) = self.shard_path(&cut_id) else {
-                continue;
-            };
-            if let Some(m) = &self.metrics {
-                m.file_stats.inc();
-            }
-            summary.probed += 1;
-            match FileGen::probe(&path) {
-                Ok(current) if current == generation => {
-                    // Unchanged: restart the freshness window so hits
-                    // stay off stat(2) until the next tick (same-
-                    // generation guard against racing swaps).
-                    let mut map = self.lock_shards();
-                    if let Some(slot) = map.slots.get_mut(&cut_id) {
-                        if slot.generation == Some(generation) {
-                            slot.last_stat = Instant::now();
-                        }
-                    }
-                }
-                Ok(_) => {
-                    // Changed: reload and swap (hot reload for a good
-                    // slot, retry for a cached failure). A failed load
-                    // is installed and attributed in the slot exactly
-                    // like a per-hit reload failure would be.
-                    if let Some(m) = &self.metrics {
-                        if was_ok {
-                            m.hot_reloads.inc();
-                        }
-                    }
-                    summary.reloaded += 1;
-                    let _ = self.load_and_install(&cut_id, &path);
-                }
-                Err(_) => {
-                    if self.retire_slot(&cut_id, generation) {
-                        summary.retired += 1;
-                    }
-                }
-            }
-        }
-        summary
     }
 
     fn shard_path(&self, cut_id: &str) -> Result<PathBuf, StoreError> {
@@ -869,18 +803,6 @@ impl BankStore {
     ) -> Vec<Result<Diagnosis, StoreError>> {
         requests.iter().map(|r| self.diagnose(r)).collect()
     }
-}
-
-/// What one [`BankStore::refresh`] sweep did.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RefreshSummary {
-    /// File-backed resident shards whose generation was probed.
-    pub probed: usize,
-    /// Shards whose file changed: reloaded and swapped (or, for a
-    /// cached load failure, re-attempted).
-    pub reloaded: usize,
-    /// Shards retired because their file is gone.
-    pub retired: usize,
 }
 
 /// Diagnoses one routed request on an already-resolved shard engine —
@@ -1374,78 +1296,6 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter("store_hot_reloads_total"), Some(1));
 
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn refresh_reloads_retires_and_keeps_the_hot_path_off_stat() {
-        let dir = std::env::temp_dir().join("ft_store_refresh_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        write_shard(&dir.join("a.ftb"), &rc_bank(1e3));
-        write_shard(&dir.join("b.ftb"), &rc_bank(2e3));
-        let req_a = DiagnosisRequest::new("a", Signature::new(vec![0.5, 0.5]));
-        let req_b = DiagnosisRequest::new("b", Signature::new(vec![0.5, 0.5]));
-
-        // Event-loop configuration: freshness window so large that
-        // request hits never stat — only refresh() probes.
-        let registry = Arc::new(MetricsRegistry::new());
-        let store = BankStore::open_with(
-            &dir,
-            StoreConfig {
-                min_stat_interval: Duration::from_secs(3600),
-                ..StoreConfig::default()
-            },
-        )
-        .unwrap()
-        .with_metrics(&registry);
-        let first_a = store.diagnose(&req_a).unwrap();
-        store.diagnose(&req_b).unwrap();
-
-        // No-op sweep: both shards probed, nothing changed.
-        let quiet = store.refresh();
-        assert_eq!(
-            quiet,
-            RefreshSummary {
-                probed: 2,
-                reloaded: 0,
-                retired: 0
-            }
-        );
-
-        // Swap a's file and delete b's: the sweep picks both up even
-        // though the per-hit path is still inside its freshness window.
-        write_shard(&dir.join("a.ftb"), &rc_bank(3e3));
-        std::fs::remove_file(dir.join("b.ftb")).unwrap();
-        let swept = store.refresh();
-        assert_eq!(
-            swept,
-            RefreshSummary {
-                probed: 2,
-                reloaded: 1,
-                retired: 1
-            }
-        );
-        let reloaded_a = store.diagnose(&req_a).unwrap();
-        assert_ne!(reloaded_a, first_a, "answers come from the new bank");
-        let reference = BankStore::open(&dir, EngineConfig::default()).unwrap();
-        assert_eq!(reloaded_a, reference.diagnose(&req_a).unwrap());
-        assert!(matches!(
-            store.diagnose(&req_b),
-            Err(StoreError::UnknownCut(_))
-        ));
-
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("store_hot_reloads_total"), Some(1));
-        assert_eq!(
-            snap.counter("store_generation_stats_total"),
-            Some(4),
-            "only the two sweeps probed"
-        );
-
-        // Pinned in-memory banks have no file: never probed or retired.
-        let pinned = BankStore::in_memory(EngineConfig::default());
-        pinned.insert_bank("mem", rc_bank(1e3)).unwrap();
-        assert_eq!(pinned.refresh(), RefreshSummary::default());
         std::fs::remove_dir_all(&dir).ok();
     }
 

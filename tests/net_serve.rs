@@ -1,7 +1,7 @@
 //! Integration tests for the TCP serving tier: byte-identity against
 //! the in-process oracle across worker counts and pipeline depths,
-//! bounded-memory backpressure, graceful drain and its deadline, and
-//! per-connection fault isolation.
+//! bounded-memory backpressure, graceful drain and its deadline,
+//! per-connection fault isolation, and shard hot reload under TCP.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -17,7 +17,7 @@ use fault_trajectory::serve::net::{
 };
 use fault_trajectory::serve::{
     synthetic_circuit_bank, synthetic_queries, BankStore, DiagnosisRequest, EngineConfig,
-    MetricsRegistry,
+    MetricsRegistry, StoreConfig,
 };
 use proptest::prelude::*;
 
@@ -112,7 +112,6 @@ fn tcp_responses_byte_identical_across_workers_and_depths() {
             &registry,
             NetConfig {
                 workers,
-                refresh_interval: Duration::ZERO,
                 ..NetConfig::default()
             },
         );
@@ -196,7 +195,6 @@ fn backpressure_bounds_memory_against_a_reader_that_never_reads() {
             workers: 2,
             max_inflight: 8,
             write_highwater: 4096,
-            refresh_interval: Duration::ZERO,
             ..NetConfig::default()
         },
     );
@@ -345,7 +343,6 @@ fn drain_deadline_force_closes_an_idle_peer() {
         store,
         &registry,
         NetConfig {
-            refresh_interval: Duration::ZERO,
             drain_deadline: deadline,
             ..NetConfig::default()
         },
@@ -373,6 +370,91 @@ fn drain_deadline_force_closes_an_idle_peer() {
         Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
         other => panic!("idle peer not closed at the deadline: {other:?}"),
     }
+}
+
+#[test]
+fn tcp_serving_hot_reloads_and_retires_a_shard_file() {
+    let dir = std::env::temp_dir().join("ft_net_hot_reload_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let tv = TestVector::pair(0.5, 2.0);
+    let old = synthetic_circuit_bank(2, 10.0, 9, &tv).unwrap();
+    let new = synthetic_circuit_bank(3, 10.0, 9, &tv).unwrap();
+    let shard = dir.join("a.ftb");
+    old.save(&shard).unwrap();
+    let requests: Vec<DiagnosisRequest> = synthetic_queries(old.trajectory_set(), 16, 5)
+        .into_iter()
+        .map(|sig| DiagnosisRequest::new("a", sig))
+        .collect();
+    let expected_old = reference_lines(
+        &BankStore::open(&dir, EngineConfig::default()).unwrap(),
+        &requests,
+    );
+
+    // The listen-mode freshness policy, scaled down: a confirmed shard
+    // generation is trusted for `interval` between stat(2) probes.
+    let interval = Duration::from_millis(50);
+    let registry = Arc::new(MetricsRegistry::new());
+    let store = BankStore::open_with(
+        &dir,
+        StoreConfig {
+            min_stat_interval: interval,
+            ..StoreConfig::default()
+        },
+    )
+    .unwrap()
+    .with_metrics(&registry);
+    let server = Server::spawn(Arc::new(store), &registry, NetConfig::default());
+    let serve = || {
+        run_loadgen(
+            &server.addr,
+            &requests,
+            &LoadgenConfig {
+                connections: 1,
+                depth: 8,
+                total: 0,
+                capture: true,
+            },
+        )
+        .unwrap()
+        .lines
+        .unwrap()
+    };
+    assert_eq!(serve(), expected_old);
+
+    // Replace the shard atomically with a same-dimension bank of another
+    // size, so its file generation differs even within one mtime tick.
+    let staged = dir.join("a.ftb.staged");
+    new.save(&staged).unwrap();
+    assert_ne!(
+        std::fs::metadata(&staged).unwrap().len(),
+        std::fs::metadata(&shard).unwrap().len()
+    );
+    std::fs::rename(&staged, &shard).unwrap();
+    let expected_new = reference_lines(
+        &BankStore::open(&dir, EngineConfig::default()).unwrap(),
+        &requests,
+    );
+    assert_ne!(
+        expected_new, expected_old,
+        "the two banks must answer differently"
+    );
+    thread::sleep(interval * 2);
+    assert_eq!(serve(), expected_new, "answers must come from the new bank");
+
+    // Deleting the file retires the shard once the interval lapses.
+    std::fs::remove_file(&shard).unwrap();
+    thread::sleep(interval * 2);
+    for line in serve() {
+        assert_eq!(line, "a\terror\tunknown CUT id `a`");
+    }
+    let summary = server.stop();
+    assert_eq!(summary.served, 3 * requests.len() as u64);
+    // Workers that resolve the changed shard at the same time each load
+    // it (the store keeps one), so count at least one reload.
+    let reloads = registry.snapshot().counter("store_hot_reloads_total");
+    assert!(reloads.unwrap_or(0) >= 1, "no hot reload counted");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
